@@ -3,8 +3,11 @@ package streamkm
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+
+	"streamkm/internal/persist"
 )
 
 // backendStream returns a deterministic 3-cluster mixture.
@@ -294,4 +297,71 @@ func TestWindowedBackendConcurrency(t *testing.T) {
 	if b.PointsStored() > 2000 {
 		t.Fatalf("windowed backend stores %d points for a 1000 window", b.PointsStored())
 	}
+}
+
+// TestBackendsOwnIngestedCoordinates: a backend keeps its own copy of
+// every point it stores, so a caller that reuses or overwrites its
+// coordinate slices after AddBatch or AddWeighted returns (as a request
+// decoder recycling its buffers would) changes neither the count, the
+// snapshot nor the centers.
+func TestBackendsOwnIngestedCoordinates(t *testing.T) {
+	pts := backendStream(1334, 9) // not a multiple of the bucket size: a partial bucket remains
+	for name, spec := range specs() {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{BucketSize: 60, Seed: 5}
+			mutated, err := Open(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pristine, err := Open(spec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := func(b Backend, scribble bool) {
+				for off := 0; off < len(pts); off += 97 {
+					end := min(off+97, len(pts))
+					batch := make([][]float64, 0, end-off)
+					for _, p := range pts[off:end] {
+						batch = append(batch, append([]float64(nil), p...))
+					}
+					b.AddBatch(batch[1:])
+					b.AddWeighted(batch[0], 2)
+					if scribble {
+						for _, p := range batch {
+							p[0], p[1] = -1e9, 1e9
+						}
+					}
+				}
+			}
+			feed(mutated, true)
+			feed(pristine, false)
+
+			if mutated.Count() != pristine.Count() {
+				t.Fatalf("count %d, want %d", mutated.Count(), pristine.Count())
+			}
+			// gob writes the coreset caches' maps in iteration order, so
+			// equal states can encode to different bytes: compare the
+			// decoded snapshots.
+			if got, want := decodedSnapshot(t, mutated), decodedSnapshot(t, pristine); !reflect.DeepEqual(got, want) {
+				t.Fatal("snapshot changed when the caller overwrote ingested coordinates")
+			}
+			if gc, wc := mutated.Centers(), pristine.Centers(); !reflect.DeepEqual(gc, wc) {
+				t.Fatalf("centers %v, want %v", gc, wc)
+			}
+		})
+	}
+}
+
+// decodedSnapshot snapshots b and decodes the result.
+func decodedSnapshot(t *testing.T, b Backend) persist.Envelope {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := b.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	env, err := persist.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
 }

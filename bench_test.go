@@ -6,7 +6,8 @@
 // in minutes. Custom metrics report the paper's units (µs/point, points of
 // memory) alongside ns/op.
 //
-// Reference full-scale runs live in EXPERIMENTS.md.
+// `go run ./cmd/streambench -exp all` regenerates the full-scale tables
+// (`-exp fig4`, `-exp table3`, ... for one; `-n` scales the streams).
 package streamkm_test
 
 import (
@@ -257,17 +258,40 @@ func benchWeighted(n, d int, seed int64) []geom.Weighted {
 	return out
 }
 
-// BenchmarkKMeansPPSeed measures the D^2-sampling seeding pass (Theorem 1).
+// BenchmarkKMeansPPSeed measures the D^2-sampling seeding pass (Theorem 1):
+// at d = 16, and at the serving shape over the Covtype stand-in (d = 54)
+// for the query's k = 10 and the reduce's m = 200 centers. pruned-% is the
+// share of point-center distance evaluations Elkan's bound skipped.
 func BenchmarkKMeansPPSeed(b *testing.B) {
-	pts := benchWeighted(2000, 16, 1)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = kmeans.SeedPP(rng, pts, 20)
+	b.Run("d=16/k=20", func(b *testing.B) {
+		pts := benchWeighted(2000, 16, 1)
+		rng := rand.New(rand.NewSource(2))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = kmeans.SeedPP(rng, pts, 20)
+		}
+	})
+	for _, n := range []int{400, 1400} {
+		for _, k := range []int{10, 200} {
+			b.Run(fmt.Sprintf("covtype/n=%d/k=%d", n, k), func(b *testing.B) {
+				pts := servingBucket(b, n)
+				rng := rand.New(rand.NewSource(2))
+				var s kmeans.Seeding
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s = kmeans.SeedPPAssign(rng, pts, k)
+				}
+				reportPruned(b, s, n)
+			})
+		}
 	}
 }
 
-// BenchmarkCoresetBuild measures one bucket reduce (Theorem 2's O(dnm)).
+// BenchmarkCoresetBuild measures one bucket reduce (Theorem 2's O(dnm)):
+// every builder at d = 16, m = 100, and the seeding builders at the
+// serving shape, reducing the Covtype stand-in (d = 54) to m = 200 from
+// two buckets (n = 400) and from seven (n = 1400). pruned-% is the share
+// of the seeding's distance evaluations Elkan's bound skipped.
 func BenchmarkCoresetBuild(b *testing.B) {
 	for _, builder := range []coreset.Builder{coreset.KMeansPP{}, coreset.Sensitivity{}, coreset.Uniform{}} {
 		b.Run(builder.Name(), func(b *testing.B) {
@@ -278,6 +302,39 @@ func BenchmarkCoresetBuild(b *testing.B) {
 				_ = builder.Build(rng, pts, 100)
 			}
 		})
+	}
+	const m = 200
+	for _, n := range []int{400, 1400} {
+		for _, builder := range []coreset.Builder{coreset.KMeansPP{}, coreset.Sensitivity{}} {
+			b.Run(fmt.Sprintf("covtype/n=%d/%s", n, builder.Name()), func(b *testing.B) {
+				pts := servingBucket(b, n)
+				rng := rand.New(rand.NewSource(4))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = builder.Build(rng, pts, m)
+				}
+				b.StopTimer()
+				k := m
+				if _, ok := builder.(coreset.Sensitivity); ok {
+					k = m / 10 // the bicriteria solution Sensitivity seeds
+				}
+				reportPruned(b, kmeans.SeedPPAssign(rand.New(rand.NewSource(4)), pts, k), n)
+			})
+		}
+	}
+}
+
+// servingBucket returns the first n points of the Covtype stand-in as
+// unit-weight points: a merge of n/200 base buckets at the serving shape.
+func servingBucket(b *testing.B, n int) []geom.Weighted {
+	return geom.Wrap(benchData(b, "covtype", 1400).Points[:n])
+}
+
+// reportPruned reports the share of a seeding's n-per-center distance
+// evaluations that the triangle bound skipped.
+func reportPruned(b *testing.B, s kmeans.Seeding, n int) {
+	if evals := n * (len(s.Centers) - 1); evals > 0 {
+		b.ReportMetric(100*float64(s.Pruned)/float64(evals), "pruned-%")
 	}
 }
 

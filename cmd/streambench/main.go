@@ -12,8 +12,8 @@
 //
 // Experiments: table3, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11,
 // table4, ablation. Every experiment prints text tables whose rows are the
-// series plotted in the corresponding paper figure; EXPERIMENTS.md records
-// a reference run and compares the shapes against the paper's.
+// series plotted in the corresponding paper figure; `streambench -exp all`
+// regenerates every table for comparison against the paper's shapes.
 //
 // # HTTP load-replay client mode
 //

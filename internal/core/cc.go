@@ -55,8 +55,19 @@ func NewCC(r, m int, b coreset.Builder, rng *rand.Rand) *CC {
 }
 
 // Update implements Structure (CC-Update): identical to CT's update; the
-// cache is maintained lazily at query time.
+// cache is maintained at query time, or ahead of it by Warm.
 func (c *CC) Update(bucket []geom.Weighted) { c.tree.Update(bucket) }
+
+// Warm runs the query path if the coreset for [1, N] is not cached yet,
+// so that the next query is an exact hit. When it is cached already, Warm
+// touches neither the cache nor Stats.
+func (c *CC) Warm() {
+	if n := c.tree.N(); n > 0 {
+		if _, ok := c.cache.get(n); !ok {
+			c.CoresetBucket()
+		}
+	}
+}
 
 // Coreset implements Structure (CC-Coreset). The returned slice must not be
 // mutated by the caller: it aliases cached storage.

@@ -45,6 +45,12 @@ type Clusterer interface {
 // StreamCluster-Update). At query time it runs k-means++ over the
 // structure's coreset union plus the current partial bucket
 // (StreamCluster-Query).
+//
+// The driver owns the storage of every point it keeps: each arriving
+// point's coordinates are copied into a coordinate block allocated per
+// base bucket, so the caller may reuse or mutate its slices after the
+// call, and a point left in the partial bucket pins one bucket-sized
+// block rather than whatever request buffer it was decoded into.
 type Driver struct {
 	s        Structure
 	k        int
@@ -52,7 +58,8 @@ type Driver struct {
 	rng      *rand.Rand
 	queryOpt kmeans.Options
 	partial  []geom.Weighted
-	count    int64 // total points observed
+	block    []float64 // coordinate storage behind partial's points
+	count    int64     // total points observed
 }
 
 // NewDriver wraps s with the batching driver. k is the number of centers
@@ -72,13 +79,29 @@ func NewDriver(s Structure, k, m int, rng *rand.Rand, queryOpt kmeans.Options) *
 // Add implements Clusterer.
 func (d *Driver) Add(p geom.Point) { d.AddWeighted(geom.Weighted{P: p, W: 1}) }
 
-// AddWeighted observes one weighted stream point.
+// AddWeighted observes one weighted stream point, copying its
+// coordinates into driver-owned storage.
 func (d *Driver) AddWeighted(wp geom.Weighted) {
 	d.count++
-	d.partial = append(d.partial, wp)
+	var p geom.Point
+	d.block, p = geom.AppendOwned(d.block, wp.P, d.m-len(d.partial))
+	d.partial = append(d.partial, geom.Weighted{P: p, W: wp.W})
 	if len(d.partial) == d.m {
 		d.s.Update(d.partial)
 		d.partial = make([]geom.Weighted, 0, d.m)
+		d.block = nil
+	}
+}
+
+// Warm runs the structure's coreset query if the structure caches
+// coresets (CC, RCC) and gained a bucket since its last query, so the
+// next Coreset or CoresetUnion is an exact cache hit instead of a reduce.
+// Lane-sharded ingest calls it at the end of each batch, while the lane
+// is still locked, which moves the reduce from the query path onto the
+// ingest path. CT keeps no cache; for it Warm does nothing.
+func (d *Driver) Warm() {
+	if w, ok := d.s.(interface{ Warm() }); ok {
+		w.Warm()
 	}
 }
 

@@ -39,6 +39,7 @@ type RCC struct {
 	m       int
 	builder coreset.Builder
 	rng     *rand.Rand
+	stats   CCStats // outcomes of the outermost structure's queries
 }
 
 // NewRCC returns an RCC of the given order (nesting depth) with merge
@@ -78,7 +79,25 @@ func (r *RCC) Coreset() []geom.Weighted { return r.CoresetBucket().Points }
 
 // CoresetBucket runs the recursive query (Algorithm 6) and returns the
 // resulting bucket with its coreset level.
-func (r *RCC) CoresetBucket() coretree.Bucket { return r.root.coreset() }
+func (r *RCC) CoresetBucket() coretree.Bucket { return r.root.coreset(&r.stats) }
+
+// Warm runs the query path if the outermost structure has not cached the
+// coreset for [1, N] yet, so that the next query is an exact hit. When it
+// is cached already, Warm touches neither the caches nor Stats.
+func (r *RCC) Warm() {
+	if n := r.root.n; n > 0 {
+		if _, ok := r.root.cache.get(n); !ok {
+			r.CoresetBucket()
+		}
+	}
+}
+
+// Stats counts how the outermost structure resolved queries, with CC's
+// three outcomes: an exact hit, the cached major prefix plus the nested
+// summary of one level, or a fallback over every level. Nested
+// structures are not counted. The counters are not persisted; a restored
+// RCC starts from zero.
+func (r *RCC) Stats() CCStats { return r.stats }
 
 // PointsStored implements Structure. Buckets referenced by both a level
 // list and its nested structure are counted once per holder, matching the
@@ -215,12 +234,17 @@ func (nd *rccNode) update(b coretree.Bucket) {
 	}
 }
 
-// coreset implements Algorithm 6 (RCC-Coreset).
-func (nd *rccNode) coreset() coretree.Bucket {
+// coreset implements Algorithm 6 (RCC-Coreset), counting the outcome in
+// st when st is non-nil.
+func (nd *rccNode) coreset(st *CCStats) coretree.Bucket {
+	if st == nil {
+		st = new(CCStats) // nested structures go uncounted
+	}
 	if nd.n == 0 {
 		return coretree.Bucket{}
 	}
 	if b, ok := nd.cache.get(nd.n); ok {
+		st.ExactHits++
 		return b
 	}
 
@@ -229,10 +253,11 @@ func (nd *rccNode) coreset() coretree.Bucket {
 	if b1, ok := nd.cache.get(major); major > 0 && ok {
 		// Cached prefix [1, major] plus a recursively cached summary of the
 		// lowest non-empty level, which spans (major, n].
+		st.MajorHits++
 		lstar := nd.lowestNonEmptyLevel()
 		parts = append(parts, b1)
 		if nd.order > 0 {
-			parts = append(parts, nd.children[lstar].coreset())
+			parts = append(parts, nd.children[lstar].coreset(nil))
 		} else {
 			parts = append(parts, nd.lists[lstar]...)
 		}
@@ -240,12 +265,13 @@ func (nd *rccNode) coreset() coretree.Bucket {
 		// Fallback: union the recursive summaries of every level (order > 0)
 		// or every bucket (order 0). Iterate levels from highest to lowest so
 		// spans stay in stream order.
+		st.Fallbacks++
 		for l := len(nd.lists) - 1; l >= 0; l-- {
 			if len(nd.lists[l]) == 0 {
 				continue
 			}
 			if nd.order > 0 {
-				parts = append(parts, nd.children[l].coreset())
+				parts = append(parts, nd.children[l].coreset(nil))
 			} else {
 				parts = append(parts, nd.lists[l]...)
 			}

@@ -158,6 +158,7 @@ func (d *Driver) Restore(s DriverSnapshot) {
 	d.m = s.M
 	d.count = s.Count
 	d.partial = geom.CloneWeighted(s.Partial)
+	d.block = nil
 }
 
 // OnlineCCSnapshot is the exported state of an OnlineCC: configuration, the

@@ -42,7 +42,11 @@ type Builder interface {
 // KMeansPP is the k-means++-reduce coreset builder used by streamkm++ and by
 // the paper's experiments. Build runs one k-means++ seeding pass with m
 // centers over the input and accumulates each input point's weight onto its
-// nearest selected point.
+// nearest selected point. That pass is the whole reduce: the seeding
+// (kmeans.SeedPPAssign) reports each point's nearest center as it goes and
+// skips the distance evaluations Elkan's triangle bound rules out, so the
+// coreset is bit-identical to seeding followed by a full nearest-center
+// scan, at a fraction of its n × m distance evaluations.
 type KMeansPP struct{}
 
 // Name implements Builder.
@@ -56,17 +60,15 @@ func (KMeansPP) Build(rng *rand.Rand, pts []geom.Weighted, m int) []geom.Weighte
 	if len(pts) <= m {
 		return geom.CloneWeighted(pts)
 	}
-	centers := kmeans.SeedPP(rng, pts, m)
-	out := make([]geom.Weighted, len(centers))
-	for i, c := range centers {
+	// The seeding pass already tracks every point's nearest center, so
+	// the weight moves onto it without a second n × m scan.
+	seed := kmeans.SeedPPAssign(rng, pts, m)
+	out := make([]geom.Weighted, len(seed.Centers))
+	for i, c := range seed.Centers {
 		out[i] = geom.Weighted{P: c, W: 0}
 	}
-	// The assignment pass is the construction's hot loop (n points × m
-	// centers); scan the centers through the flat-array kernel.
-	fc := geom.FlattenCenters(centers)
-	for _, wp := range pts {
-		_, idx := fc.Nearest(wp.P)
-		out[idx].W += wp.W
+	for i, wp := range pts {
+		out[seed.Assign[i]].W += wp.W
 	}
 	return compactZeroWeight(out)
 }

@@ -43,30 +43,22 @@ func (s Sensitivity) Build(rng *rand.Rand, pts []geom.Weighted, m int) []geom.We
 			k = 2
 		}
 	}
-	centers := kmeans.SeedPP(rng, pts, k)
-
-	// Per-point nearest center and residual cost, scanned through the
-	// flat-array kernel (n points × k centers — this pass dominates).
-	fc := geom.FlattenCenters(centers)
-	assign := make([]int, len(pts))
-	resid := make([]float64, len(pts))
+	// The seeding reports each point's nearest center and residual cost.
+	seed := kmeans.SeedPPAssign(rng, pts, k)
 	var totalCost float64
-	clusterW := make([]float64, len(centers))
+	clusterW := make([]float64, len(seed.Centers))
 	for i, wp := range pts {
-		d, idx := fc.Nearest(wp.P)
-		assign[i] = idx
-		resid[i] = d
-		totalCost += wp.W * d
-		clusterW[idx] += wp.W
+		totalCost += wp.W * seed.MinSq[i]
+		clusterW[seed.Assign[i]] += wp.W
 	}
 
 	// Sensitivity upper bounds and the sampling distribution q.
 	q := make([]float64, len(pts))
 	var S float64
 	for i, wp := range pts {
-		v := wp.W / clusterW[assign[i]]
+		v := wp.W / clusterW[seed.Assign[i]]
 		if totalCost > 0 {
-			v += wp.W * resid[i] / totalCost
+			v += wp.W * seed.MinSq[i] / totalCost
 		}
 		q[i] = v
 		S += v

@@ -2,8 +2,8 @@
 // evaluation (Section 5). Each experiment function consumes a Config and
 // returns one or more text tables whose rows mirror the series plotted in
 // the corresponding figure. The cmd/streambench CLI and the repository's
-// testing.B benchmarks both call into this package, so the CLI, the
-// benchmarks and EXPERIMENTS.md all report the same code paths.
+// testing.B benchmarks both call into this package, so the CLI
+// (`streambench -exp all`) and the benchmarks report the same code paths.
 package experiments
 
 import (

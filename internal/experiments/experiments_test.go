@@ -117,8 +117,8 @@ func TestFig5Shape(t *testing.T) {
 	}
 	requireTable(t, tables[0], 2, 5)
 	// Wall-clock assertions are too noisy for CI-sized runs (shape fidelity
-	// is validated by the reference runs in EXPERIMENTS.md); here just check
-	// the measurements are positive and finite.
+	// is checked against full-scale runs of `streambench -exp fig5`); here
+	// just check the measurements are positive and finite.
 	for _, row := range tables[0].Rows {
 		for _, cell := range row[1:] {
 			if v := parseCell(t, cell); v <= 0 {

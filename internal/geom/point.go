@@ -29,6 +29,25 @@ func (p Point) Clone() Point {
 	return q
 }
 
+// AppendOwned copies p's coordinates into block and returns the grown
+// block together with the copy, whose capacity ends at its length so an
+// append to it can never reach a neighbouring copy. When block lacks room
+// for p, a fresh block sized for room points of p's dimension replaces it:
+// a caller filling a bucket passes the number of points still to come, so
+// one allocation serves the whole bucket. Copies already handed out are
+// never written again.
+func AppendOwned(block []float64, p Point, room int) ([]float64, Point) {
+	if len(p) == 0 {
+		return block, p
+	}
+	if cap(block)-len(block) < len(p) {
+		block = make([]float64, 0, max(room, 1)*len(p))
+	}
+	start := len(block)
+	block = append(block, p...)
+	return block, Point(block[start:len(block):len(block)])
+}
+
 // Dim returns the dimensionality of p.
 func (p Point) Dim() int { return len(p) }
 

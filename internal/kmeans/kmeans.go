@@ -51,8 +51,8 @@ func Run(rng *rand.Rand, pts []geom.Weighted, k int, opt Options) ([]geom.Point,
 	var best []geom.Point
 	bestCost := math.Inf(1)
 	for i := 0; i < runs; i++ {
-		centers := SeedPP(rng, pts, k)
-		cost := Cost(pts, centers)
+		seed := SeedPPAssign(rng, pts, k)
+		centers, cost := seed.Centers, seed.cost(pts)
 		if opt.LloydIters > 0 {
 			centers, cost = Lloyd(pts, centers, opt.LloydIters, opt.Tol)
 		}

@@ -161,6 +161,12 @@ func (s *Sharded) AddWeightedTo(shardIdx int, wp geom.Weighted) {
 // single lock acquisition — the ingest fast path for high-throughput
 // producers, amortizing the per-point lock cost over the batch.
 //
+// Before releasing the lock it warms the shard (core.Driver.Warm): a CC or
+// RCC shard that completed a bucket during the batch runs its coreset
+// query now, so its cache holds the coreset for every full bucket and the
+// next CoresetUnion is an exact hit rather than a reduce on the query
+// path. The per-point add paths leave the cache to the next query.
+//
 // The global counter advances inside the shard critical section (here and
 // in the other add paths), so a Quiesce holding every shard lock observes
 // a count that exactly matches the points applied to the drivers.
@@ -173,6 +179,7 @@ func (s *Sharded) AddBatchTo(shardIdx int, wps []geom.Weighted) {
 	for _, wp := range wps {
 		sh.drv.AddWeighted(wp)
 	}
+	sh.drv.Warm()
 	s.n.Add(int64(len(wps)))
 	sh.mu.Unlock()
 }

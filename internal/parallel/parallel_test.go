@@ -249,3 +249,48 @@ func TestNewShardedFromState(t *testing.T) {
 		t.Error("accepted negative count")
 	}
 }
+
+// TestAddBatchToLeavesLanesQueryReady: a batch ends by warming its lane,
+// so the next CoresetUnion finds every lane's coreset for [1, N] cached
+// (an exact hit) instead of reducing on the query path — for CC and RCC
+// lanes alike.
+func TestAddBatchToLeavesLanesQueryReady(t *testing.T) {
+	const k, m = 3, 20
+	for _, algo := range []string{"CC", "RCC"} {
+		t.Run(algo, func(t *testing.T) {
+			var stats []func() core.CCStats
+			s, err := NewSharded(2, k, 1, kmeans.FastOptions(), func(_ int, seed int64) *core.Driver {
+				rng := rand.New(rand.NewSource(seed))
+				var st core.Structure
+				if algo == "CC" {
+					cc := core.NewCC(2, m, coreset.KMeansPP{}, rng)
+					stats, st = append(stats, cc.Stats), cc
+				} else {
+					rcc := core.NewRCC(2, m, coreset.KMeansPP{}, rng)
+					stats, st = append(stats, rcc.Stats), rcc
+				}
+				return core.NewDriver(st, k, m, rng, kmeans.FastOptions())
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(2))
+			for batch := 0; batch < 12; batch++ {
+				lane := batch % 2
+				wps := make([]geom.Weighted, 3*m+7) // several buckets plus a partial one
+				for i := range wps {
+					wps[i] = geom.Weighted{P: geom.Point{rng.NormFloat64(), rng.NormFloat64()}, W: 1}
+				}
+				s.AddBatchTo(lane, wps)
+				before := stats[lane]()
+				s.CoresetUnion()
+				after := stats[lane]()
+				if after.ExactHits != before.ExactHits+1 || after.MajorHits != before.MajorHits ||
+					after.Fallbacks != before.Fallbacks {
+					t.Fatalf("batch %d: query after AddBatchTo went %+v -> %+v, want one more exact hit only",
+						batch, before, after)
+				}
+			}
+		})
+	}
+}

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamkm/internal/metrics"
@@ -222,6 +223,8 @@ type Registry struct {
 	checkpoint metrics.CheckpointStats
 
 	buffers wire.BufferPool
+
+	accesses atomic.Int64 // last access sequence number issued by touch
 }
 
 // Registry errors distinguished by the HTTP layer.
@@ -367,7 +370,7 @@ func (r *Registry) registerHibernated(id, path string) {
 			}
 		}
 	}
-	e.lastAccess.Store(r.cfg.now().UnixNano())
+	r.touch(e)
 	r.streams[id] = e
 	r.stats.RecordCreate()
 }
@@ -408,7 +411,7 @@ func (r *Registry) lookup(id string, create bool) (*Stream, error) {
 	if e.cfg.Dim > 0 {
 		e.dim.Store(int64(e.cfg.Dim))
 	}
-	e.lastAccess.Store(r.cfg.now().UnixNano())
+	r.touch(e)
 	r.streams[id] = e
 	r.stats.RecordCreate()
 	return e, nil
@@ -437,8 +440,7 @@ func (r *Registry) WithContext(ctx context.Context, id string, create bool, fn f
 		if err != nil {
 			return err
 		}
-		touch := func() { e.lastAccess.Store(r.cfg.now().UnixNano()) }
-		touch()
+		r.touch(e)
 
 		// Fast path: already resident, shared lock only.
 		t0 := r.cfg.now()
@@ -456,7 +458,7 @@ func (r *Registry) WithContext(ctx context.Context, id string, create bool, fn f
 		if b := e.backend; b != nil {
 			err := fn(e, b)
 			e.mu.RUnlock()
-			touch()
+			r.touch(e)
 			return err
 		}
 		e.mu.RUnlock()
@@ -487,7 +489,7 @@ func (r *Registry) WithContext(ctx context.Context, id string, create bool, fn f
 		}
 		err = fn(e, b)
 		e.mu.Unlock()
-		touch()
+		r.touch(e)
 		r.enforceCap()
 		return err
 	}
@@ -550,6 +552,16 @@ func (r *Registry) materialize(e *Stream, sp *trace.Span) (Backend, error) {
 	return b, nil
 }
 
+// touch records an access to e: its clock reading, which TTL sweeps
+// compare against wall time, and a registry-wide sequence number, which
+// orders LRU eviction. Clock readings can tie (a coarse or fake clock);
+// sequence numbers never do, so the stream whose access triggered a cap
+// check is always the most recently used one.
+func (r *Registry) touch(e *Stream) {
+	e.lastAccess.Store(r.cfg.now().UnixNano())
+	e.accessSeq.Store(r.accesses.Add(1))
+}
+
 // enforceCap hibernates least-recently-used resident streams until the
 // resident count is back under MaxResident. Called with no stream lock
 // held. Victims that fail to hibernate (or turn out to be busy growing)
@@ -572,7 +584,7 @@ func (r *Registry) enforceCap() {
 		}
 		r.mu.Unlock()
 		sort.Slice(victims, func(i, j int) bool {
-			return victims[i].lastAccess.Load() < victims[j].lastAccess.Load()
+			return victims[i].accessSeq.Load() < victims[j].accessSeq.Load()
 		})
 
 		evicted := 0
@@ -762,7 +774,7 @@ func (r *Registry) Create(id string, cfg StreamConfig) error {
 		if cfg.Dim > 0 {
 			e.dim.Store(int64(cfg.Dim))
 		}
-		e.lastAccess.Store(r.cfg.now().UnixNano())
+		r.touch(e)
 		r.streams[id] = e
 		r.mu.Unlock()
 
@@ -941,7 +953,7 @@ func (r *Registry) Install(id string, src io.Reader) error {
 		return fmt.Errorf("%w: %q", ErrExists, id)
 	}
 	e := &Stream{id: id, path: path, cfg: r.cfg.Default}
-	e.lastAccess.Store(r.cfg.now().UnixNano())
+	r.touch(e)
 	r.streams[id] = e
 	r.mu.Unlock()
 
@@ -1026,7 +1038,7 @@ func (r *Registry) InstallStandby(id string, src io.Reader, owner string) (int64
 		e, ok := r.streams[id]
 		if !ok {
 			e = &Stream{id: id, path: path, cfg: r.cfg.Default, detached: true, standby: true, newOwner: owner}
-			e.lastAccess.Store(r.cfg.now().UnixNano())
+			r.touch(e)
 			r.streams[id] = e
 			r.mu.Unlock()
 
@@ -1102,7 +1114,7 @@ func (r *Registry) writeStandby(e *Stream, raw []byte, cfg StreamConfig, count i
 			e.dim.Store(int64(cfg.Dim))
 		}
 	}
-	e.lastAccess.Store(r.cfg.now().UnixNano())
+	r.touch(e)
 	return nil
 }
 

@@ -238,6 +238,35 @@ func TestEvictionLRUAndLazyRestore(t *testing.T) {
 	}
 }
 
+// TestEvictionNeverTakesTheAccessedStream: with a clock that never moves,
+// every access carries the same reading, so recency has to come from the
+// order of accesses. The stream whose access pushed the registry over its
+// cap is the most recently used one and must stay resident.
+func TestEvictionNeverTakesTheAccessedStream(t *testing.T) {
+	now := time.Unix(1000, 0)
+	r := mustNew(t, Config{DataDir: t.TempDir(), MaxResident: 1, now: func() time.Time { return now }})
+	ids := []string{"a", "b", "c"}
+	for i := 0; i < 30; i++ {
+		id := ids[i%len(ids)]
+		ingest(t, r, id, 1)
+		for _, other := range ids {
+			in, err := r.Stat(other)
+			if err != nil {
+				if other != id && i < len(ids) {
+					continue // not created yet
+				}
+				t.Fatal(err)
+			}
+			if in.Resident != (other == id) {
+				t.Fatalf("access %d to %q: stream %q resident=%v", i, id, other, in.Resident)
+			}
+		}
+	}
+	if n := streamCount(t, r, "a"); n != 10 {
+		t.Fatalf("count of a = %d, want 10", n)
+	}
+}
+
 func TestEvictionRequiresDataDir(t *testing.T) {
 	if _, err := New(fakeHooks(Config{MaxResident: 2})); err == nil {
 		t.Fatal("MaxResident without DataDir accepted")

@@ -57,7 +57,8 @@ type Stream struct {
 	qLast       int64 // unix nanos of the last refill
 
 	dim        atomic.Int64 // adopted point dimension; 0 until known
-	lastAccess atomic.Int64 // unix nanos of the most recent access
+	lastAccess atomic.Int64 // unix nanos of the most recent access (TTL sweeps)
+	accessSeq  atomic.Int64 // registry sequence number of the most recent access (LRU order)
 }
 
 // ID returns the stream's name.

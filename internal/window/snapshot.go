@@ -105,6 +105,7 @@ func (c *Clusterer) Restore(s Snapshot) {
 		c.partialEnd = s.PartialStart + int64(len(s.Partial)) - 1
 	}
 	c.partial = append(make([]geom.Weighted, 0, s.M), geom.CloneWeighted(s.Partial)...)
+	c.block = nil
 	c.levels = make([][]bucket, len(s.Levels))
 	for j, lvl := range s.Levels {
 		c.levels[j] = make([]bucket, len(lvl))

@@ -55,9 +55,10 @@ type Clusterer struct {
 
 	levels       [][]bucket // levels[j]: buckets in arrival order, oldest first
 	partial      []geom.Weighted
-	partialStart int64 // arrival index of partial[0]; 0 while partial is empty
-	partialEnd   int64 // arrival index of the newest partial point; 0 while empty
-	count        int64 // total arrivals observed (shard mode: newest global index seen)
+	block        []float64 // coordinate storage behind partial's points
+	partialStart int64     // arrival index of partial[0]; 0 while partial is empty
+	partialEnd   int64     // arrival index of the newest partial point; 0 while empty
+	count        int64     // total arrivals observed (shard mode: newest global index seen)
 }
 
 // New creates a sliding-window clusterer answering k centers over the
@@ -103,16 +104,22 @@ func (c *Clusterer) AddWeighted(wp geom.Weighted) {
 // merged buckets from different lanes expire against one shared clock.
 // Expiry is NOT performed here; shard mode expires explicitly via
 // ExpireBefore with a globally-derived cutoff.
+//
+// As in core.Driver, the point's coordinates are copied into a
+// per-bucket block the clusterer owns; the caller's slice is not kept.
 func (c *Clusterer) AddWeightedAt(idx int64, wp geom.Weighted) {
 	c.count = idx
 	if len(c.partial) == 0 {
 		c.partialStart = idx
 	}
-	c.partial = append(c.partial, wp)
+	var p geom.Point
+	c.block, p = geom.AppendOwned(c.block, wp.P, c.m-len(c.partial))
+	c.partial = append(c.partial, geom.Weighted{P: p, W: wp.W})
 	c.partialEnd = idx
 	if len(c.partial) == c.m {
 		sealed := bucket{points: c.partial, start: c.partialStart, end: idx}
 		c.partial = make([]geom.Weighted, 0, c.m)
+		c.block = nil
 		c.partialStart = 0
 		c.partialEnd = 0
 		c.insert(0, sealed)
@@ -165,7 +172,10 @@ func (c *Clusterer) ExpireBefore(cutoff int64) {
 		}
 	}
 	if len(c.partial) > 0 && c.partialEnd > 0 && c.partialEnd <= cutoff {
+		// A query may still hold the expired points, so their block is
+		// dropped rather than refilled.
 		c.partial = c.partial[:0]
+		c.block = nil
 		c.partialStart = 0
 		c.partialEnd = 0
 	}

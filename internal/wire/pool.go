@@ -13,9 +13,11 @@ import (
 // huge batches never makes small requests drag 64 MiB buffers around.
 //
 // What is deliberately NOT pooled: the flat float64 coordinate block.
-// Backends retain the point storage they ingest (partial coreset
-// buckets live across requests), so recycling coordinates would alias
-// live tenant state. The byte buffer and header array, by contrast, are
+// The lane-sharded backends copy the coordinates they keep (core.Driver
+// and window.Clusterer own their bucket storage), but not every
+// Clusterer does: OnlineCC's partial bucket still aliases its input, so
+// recycling coordinates could alias live tenant state. The byte buffer
+// and header array, by contrast, are
 // dead the moment the shard hands off — AddBatch implementations copy
 // the outer slice's elements into their own geom.Weighted records.
 //

@@ -20,11 +20,15 @@ import (
 // per-shard coresets is a coreset of the union of the substreams). Each
 // shard is independently locked, so producers pinned to distinct shards
 // never contend; AddBatch amortizes one lock acquisition over a whole
-// batch, and ends it by warming the shard: a CC or RCC shard that
-// completed a bucket runs its coreset query there, so a recomputation
-// finds every shard's coreset cached instead of reducing on the query
-// path. Shards copy the coordinates they keep into storage they own, so
-// callers may reuse their point slices once an add returns.
+// batch, and ends it by warming the shard — a CC or RCC shard that
+// completed a bucket runs its coreset query there — and publishing the
+// shard's summary as an immutable view. A recomputation unions those
+// views without taking the shard locks, so it neither reduces on the
+// query path nor waits for a batch in progress; only a shard fed point
+// by point (Add, AddTo, AddWeighted) since its last batch, or restored
+// and not yet fed a batch, is gathered under its lock. Shards copy the
+// coordinates they keep into storage they own, so callers may reuse
+// their point slices once an add returns.
 //
 // Queries take the cached-centers fast path: the centers computed by the
 // previous query are reused until the stream has grown by more than a

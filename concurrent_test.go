@@ -3,6 +3,10 @@ package streamkm
 import (
 	"sync"
 	"testing"
+	"time"
+
+	"streamkm/internal/core"
+	"streamkm/internal/geom"
 )
 
 func TestConcurrentBasic(t *testing.T) {
@@ -179,5 +183,82 @@ func TestConcurrentParallelIngestAndQuery(t *testing.T) {
 	}
 	if got := c.Refresh(); len(got) != 3 {
 		t.Fatalf("final query: %d centers, want 3", len(got))
+	}
+}
+
+// TestConcurrentRefreshDoesNotWaitForLaneLocks: batch-fed lanes publish
+// their summaries, so Refresh recomputes while Quiesce holds every lane
+// lock instead of waiting for it.
+func TestConcurrentRefreshDoesNotWaitForLaneLocks(t *testing.T) {
+	c := MustNewConcurrent(AlgoCC, 2, Config{K: 3, BucketSize: 20})
+	pts := mixturePoints(400, 11)
+	for i := 0; i < len(pts); i += 100 {
+		c.AddBatch(pts[i : i+100])
+	}
+	err := c.inner.Quiesce(func([]*core.Driver, int64, int64) error {
+		done := make(chan []Point)
+		go func() { done <- c.Refresh() }()
+		select {
+		case got := <-done:
+			if len(got) != 3 {
+				t.Errorf("Refresh under Quiesce: %d centers, want 3", len(got))
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("Refresh still blocked on the lane locks after 10s")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRefreshCoversCount races AddBatch (AddBatchTo),
+// AddWeighted and Refresh. A gather's total weight must be at least the
+// count read before it, and the final union holds every point's weight.
+// Run with -race -count=10.
+func TestConcurrentRefreshCoversCount(t *testing.T) {
+	c := MustNewConcurrent(AlgoCC, 2, Config{K: 3, BucketSize: 20})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		pts := mixturePoints(2000, 12)
+		for i := 0; i < len(pts); i += 50 {
+			c.AddBatch(pts[i : i+50])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, p := range mixturePoints(300, 13) {
+			c.AddWeighted(p, 2)
+		}
+	}()
+	stop := make(chan struct{})
+	var qwg sync.WaitGroup
+	for q := 0; q < 2; q++ {
+		qwg.Add(1)
+		go func() {
+			defer qwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := c.inner.Count()
+				if w := geom.TotalWeight(c.inner.CoresetUnion()); w < float64(n) {
+					t.Errorf("gathered weight %v after reading count %d", w, n)
+					return
+				}
+				c.Refresh()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	qwg.Wait()
+	if w := geom.TotalWeight(c.inner.CoresetUnion()); w != 2000+2*300 {
+		t.Fatalf("final union weight %v, want %d", w, 2000+2*300)
 	}
 }

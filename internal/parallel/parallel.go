@@ -10,7 +10,9 @@
 //
 // Shards are independently locked, so P producer goroutines can feed their
 // shards concurrently with queries; there is no shared mutable state
-// between shards beyond the query-time union.
+// between shards beyond the query-time union. A shard fed in batches
+// publishes an immutable view of its summary at the end of each batch, so
+// queries gather those shards without taking their locks.
 package parallel
 
 import (
@@ -25,8 +27,9 @@ import (
 )
 
 // Sharded is a streaming k-means clusterer over P parallel substreams.
-// Each shard owns one driver-based clusterer guarded by its own mutex;
-// queries take every shard lock briefly to union the summaries.
+// Each shard owns one driver-based clusterer guarded by its own mutex.
+// Queries union the shard summaries, reading each shard's published view
+// without its lock, and locking only shards that have none.
 type Sharded struct {
 	shards   []*shard
 	k        int
@@ -42,6 +45,15 @@ type Sharded struct {
 type shard struct {
 	mu  sync.Mutex
 	drv *core.Driver
+
+	// view is the driver's CoresetUnion as of the end of the shard's last
+	// AddBatchTo, or nil when the shard has none: fresh, restored, or fed
+	// a point since. It is written under mu and read without it. A view
+	// is never modified after it is published: concurrent shards never
+	// rescale weights, cached coreset buckets are never rewritten, and
+	// partial-bucket coordinates sit in driver-owned blocks that are
+	// never written again.
+	view atomic.Pointer[[]geom.Weighted]
 }
 
 // NewSharded builds a P-shard clusterer. newDriver is called once per
@@ -141,17 +153,16 @@ func (s *Sharded) Quiesce(f func(drvs []*core.Driver, rr, count int64) error) er
 // AddTo feeds one point to a specific shard. Safe for concurrent use by
 // one goroutine per shard (or any routing discipline).
 func (s *Sharded) AddTo(shardIdx int, p geom.Point) {
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	sh.drv.Add(p)
-	s.n.Add(1)
-	sh.mu.Unlock()
+	s.AddWeightedTo(shardIdx, geom.Weighted{P: p, W: 1})
 }
 
-// AddWeightedTo feeds one weighted point to a specific shard.
+// AddWeightedTo feeds one weighted point to a specific shard. It clears
+// the shard's view before the global count advances, so queries gather
+// the shard under its lock until its next AddBatchTo.
 func (s *Sharded) AddWeightedTo(shardIdx int, wp geom.Weighted) {
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
+	sh.view.Store(nil)
 	sh.drv.AddWeighted(wp)
 	s.n.Add(1)
 	sh.mu.Unlock()
@@ -163,13 +174,17 @@ func (s *Sharded) AddWeightedTo(shardIdx int, wp geom.Weighted) {
 //
 // Before releasing the lock it warms the shard (core.Driver.Warm): a CC or
 // RCC shard that completed a bucket during the batch runs its coreset
-// query now, so its cache holds the coreset for every full bucket and the
-// next CoresetUnion is an exact hit rather than a reduce on the query
-// path. The per-point add paths leave the cache to the next query.
+// query now, so its cache holds the coreset for every full bucket. It then
+// publishes the shard's CoresetUnion as the shard's view, which queries
+// read without the lock, so the reduce moves off the query path and a
+// query never waits for a batch in progress. The per-point add paths
+// leave the cache to the next query and clear the view.
 //
 // The global counter advances inside the shard critical section (here and
 // in the other add paths), so a Quiesce holding every shard lock observes
-// a count that exactly matches the points applied to the drivers.
+// a count that exactly matches the points applied to the drivers. The
+// view is published before the counter advances, so a query that reads
+// the count first and then gathers sees every point that count includes.
 func (s *Sharded) AddBatchTo(shardIdx int, wps []geom.Weighted) {
 	if len(wps) == 0 {
 		return
@@ -180,6 +195,8 @@ func (s *Sharded) AddBatchTo(shardIdx int, wps []geom.Weighted) {
 		sh.drv.AddWeighted(wp)
 	}
 	sh.drv.Warm()
+	view := sh.drv.CoresetUnion()
+	sh.view.Store(&view)
 	s.n.Add(int64(len(wps)))
 	sh.mu.Unlock()
 }
@@ -213,11 +230,16 @@ func (s *Sharded) Centers() []geom.Point {
 }
 
 // CoresetUnion returns the union of all shard summaries — itself a coreset
-// of the full multi-stream (Observation 1). Each shard is locked only
+// of the full multi-stream (Observation 1). A shard with a published view
+// contributes it without being locked; any other shard is locked only
 // while its own summary is gathered.
 func (s *Sharded) CoresetUnion() []geom.Weighted {
 	var union []geom.Weighted
 	for _, sh := range s.shards {
+		if v := sh.view.Load(); v != nil {
+			union = append(union, *v...)
+			continue
+		}
 		sh.mu.Lock()
 		union = append(union, sh.drv.CoresetUnion()...)
 		sh.mu.Unlock()

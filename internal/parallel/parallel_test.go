@@ -3,8 +3,10 @@ package parallel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"streamkm/internal/core"
 	"streamkm/internal/coreset"
@@ -250,46 +252,195 @@ func TestNewShardedFromState(t *testing.T) {
 	}
 }
 
-// TestAddBatchToLeavesLanesQueryReady: a batch ends by warming its lane,
-// so the next CoresetUnion finds every lane's coreset for [1, N] cached
-// (an exact hit) instead of reducing on the query path — for CC and RCC
-// lanes alike.
-func TestAddBatchToLeavesLanesQueryReady(t *testing.T) {
+// ccLanes builds a two-lane Sharded of CC, RCC or CT lanes and returns
+// each lane's query counters (zero for CT, which keeps no cache).
+func ccLanes(t *testing.T, algo string, k, m int) (*Sharded, []func() core.CCStats) {
+	t.Helper()
+	var stats []func() core.CCStats
+	s, err := NewSharded(2, k, 1, kmeans.FastOptions(), func(_ int, seed int64) *core.Driver {
+		rng := rand.New(rand.NewSource(seed))
+		var st core.Structure
+		switch algo {
+		case "CC":
+			cc := core.NewCC(2, m, coreset.KMeansPP{}, rng)
+			stats, st = append(stats, cc.Stats), cc
+		case "RCC":
+			rcc := core.NewRCC(2, m, coreset.KMeansPP{}, rng)
+			stats, st = append(stats, rcc.Stats), rcc
+		default:
+			stats, st = append(stats, func() core.CCStats { return core.CCStats{} }), core.NewCT(2, m, coreset.KMeansPP{}, rng)
+		}
+		return core.NewDriver(st, k, m, rng, kmeans.FastOptions())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, stats
+}
+
+func gaussianBatch(rng *rand.Rand, n int, w float64) []geom.Weighted {
+	wps := make([]geom.Weighted, n)
+	for i := range wps {
+		wps[i] = geom.Weighted{P: geom.Point{rng.NormFloat64(), rng.NormFloat64()}, W: w}
+	}
+	return wps
+}
+
+// lockedUnion gathers every lane's CoresetUnion under Quiesce: the exact
+// union the published views must reproduce.
+func lockedUnion(t *testing.T, s *Sharded) []geom.Weighted {
+	t.Helper()
+	var union []geom.Weighted
+	if err := s.Quiesce(func(drvs []*core.Driver, _, _ int64) error {
+		for _, d := range drvs {
+			union = append(union, d.CoresetUnion()...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return union
+}
+
+func sameBits(a, b []geom.Weighted) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].W) != math.Float64bits(b[i].W) || len(a[i].P) != len(b[i].P) {
+			return false
+		}
+		for j := range a[i].P {
+			if math.Float64bits(a[i].P[j]) != math.Float64bits(b[i].P[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestAddBatchToPublishesLanesUnion: a batch ends by publishing its lane's
+// union, so CoresetUnion after AddBatchTo equals the union gathered under
+// the lane locks bit for bit and runs no query on any lane (CCStats stay
+// unchanged) — for CC, RCC and CT lanes alike. A point fed with
+// AddWeightedTo withdraws its lane's view until the lane's next batch.
+func TestAddBatchToPublishesLanesUnion(t *testing.T) {
 	const k, m = 3, 20
+	for _, algo := range []string{"CC", "RCC", "CT"} {
+		t.Run(algo, func(t *testing.T) {
+			s, stats := ccLanes(t, algo, k, m)
+			rng := rand.New(rand.NewSource(2))
+			for round := 0; round < 6; round++ {
+				for lane := 0; lane < 2; lane++ {
+					s.AddBatchTo(lane, gaussianBatch(rng, 3*m+7, 1)) // several buckets plus a partial one
+				}
+				before := []core.CCStats{stats[0](), stats[1]()}
+				got := s.CoresetUnion()
+				if after := []core.CCStats{stats[0](), stats[1]()}; !reflect.DeepEqual(after, before) {
+					t.Fatalf("round %d: gather after AddBatchTo ran lane queries: %+v -> %+v", round, before, after)
+				}
+				if want := lockedUnion(t, s); !sameBits(got, want) {
+					t.Fatalf("round %d: published union (%d points) differs from the locked union (%d points)",
+						round, len(got), len(want))
+				}
+				if round == 3 {
+					s.AddWeightedTo(1, geom.Weighted{P: geom.Point{9, 9}, W: 1})
+					if got, want := s.CoresetUnion(), lockedUnion(t, s); !sameBits(got, want) {
+						t.Fatalf("after a per-point add: gathered %d points, locked union has %d", len(got), len(want))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGatherDoesNotWaitForLaneLocks: with every lane's view published,
+// CoresetUnion and Centers return while Quiesce holds every lane lock.
+func TestGatherDoesNotWaitForLaneLocks(t *testing.T) {
+	s, _ := ccLanes(t, "CC", 3, 20)
+	rng := rand.New(rand.NewSource(3))
+	for lane := 0; lane < 2; lane++ {
+		s.AddBatchTo(lane, gaussianBatch(rng, 75, 1))
+	}
+	err := s.Quiesce(func([]*core.Driver, int64, int64) error {
+		done := make(chan int)
+		go func() {
+			n := len(s.CoresetUnion())
+			s.Centers()
+			done <- n
+		}()
+		select {
+		case n := <-done:
+			if n == 0 {
+				t.Error("gathered an empty union")
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("CoresetUnion/Centers still blocked on the lane locks after 10s")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatherCoversCountUnderConcurrentIngest races batch producers, a
+// per-point producer and gatherers. Every gather's total weight must be
+// at least the count read before it: a view is published before the
+// count advances, and a per-point add withdraws its lane's view first.
+// All weights are small integers, so the reduces keep total weight
+// exact. Run with -race -count=10.
+func TestGatherCoversCountUnderConcurrentIngest(t *testing.T) {
 	for _, algo := range []string{"CC", "RCC"} {
 		t.Run(algo, func(t *testing.T) {
-			var stats []func() core.CCStats
-			s, err := NewSharded(2, k, 1, kmeans.FastOptions(), func(_ int, seed int64) *core.Driver {
-				rng := rand.New(rand.NewSource(seed))
-				var st core.Structure
-				if algo == "CC" {
-					cc := core.NewCC(2, m, coreset.KMeansPP{}, rng)
-					stats, st = append(stats, cc.Stats), cc
-				} else {
-					rcc := core.NewRCC(2, m, coreset.KMeansPP{}, rng)
-					stats, st = append(stats, rcc.Stats), rcc
-				}
-				return core.NewDriver(st, k, m, rng, kmeans.FastOptions())
-			})
-			if err != nil {
-				t.Fatal(err)
+			s, _ := ccLanes(t, algo, 3, 20)
+			const batches, singles = 30, 300
+			var wg sync.WaitGroup
+			for lane := 0; lane < 2; lane++ {
+				wg.Add(1)
+				go func(lane int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(10 + lane)))
+					for b := 0; b < batches; b++ {
+						s.AddBatchTo(lane, gaussianBatch(rng, 37, 1))
+					}
+				}(lane)
 			}
-			rng := rand.New(rand.NewSource(2))
-			for batch := 0; batch < 12; batch++ {
-				lane := batch % 2
-				wps := make([]geom.Weighted, 3*m+7) // several buckets plus a partial one
-				for i := range wps {
-					wps[i] = geom.Weighted{P: geom.Point{rng.NormFloat64(), rng.NormFloat64()}, W: 1}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(12))
+				for i := 0; i < singles; i++ {
+					s.AddWeighted(geom.Weighted{P: geom.Point{rng.NormFloat64(), rng.NormFloat64()}, W: 2})
 				}
-				s.AddBatchTo(lane, wps)
-				before := stats[lane]()
-				s.CoresetUnion()
-				after := stats[lane]()
-				if after.ExactHits != before.ExactHits+1 || after.MajorHits != before.MajorHits ||
-					after.Fallbacks != before.Fallbacks {
-					t.Fatalf("batch %d: query after AddBatchTo went %+v -> %+v, want one more exact hit only",
-						batch, before, after)
-				}
+			}()
+			stop := make(chan struct{})
+			var gathers sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				gathers.Add(1)
+				go func() {
+					defer gathers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						n := s.Count()
+						if w := geom.TotalWeight(s.CoresetUnion()); w < float64(n) {
+							t.Errorf("gathered weight %v after reading count %d", w, n)
+							return
+						}
+						s.Centers()
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			gathers.Wait()
+			want := float64(2*batches*37 + 2*singles)
+			if w := geom.TotalWeight(s.CoresetUnion()); w != want {
+				t.Fatalf("final union weight %v, want %v", w, want)
 			}
 		})
 	}

@@ -173,10 +173,24 @@
 // weights block. Any other content type is treated as ndjson, the
 // compatibility path.
 //
+// Both servers buffer the (byte-capped) body and decode it in full
+// before touching the backend — the Multi server before entering the
+// registry — so a stream's lock covers only the apply. ndjson decoding
+// is one pass: canonical records ('[' number (',' number)* ']') are
+// scanned by hand, checking JSON's number grammar before
+// strconv.ParseFloat, into one coordinate block per request; any other
+// record (an object, null, a non-number, a syntax or range error, the
+// record at the point cap) is decoded by encoding/json and parsePoint,
+// so every status, message and applied count matches a
+// streaming json.Decoder over the body (FuzzNDJSONMatchesReference holds
+// the two to each other, call sequence included).
+//
 // The two paths differ in their partial-failure contract. The ndjson
-// path streams: on the first malformed value it stops, keeps what was
-// already applied, and reports both the error and the applied count.
-// The binary path is all-or-nothing: the entire body (header sanity,
+// path applies in body order: on the first malformed value it stops,
+// keeps what was applied before it, and reports both the error and the
+// applied count. A body whose first value is malformed, like an empty
+// body, never creates a stream; a body over the byte cap applies
+// nothing. The binary path is all-or-nothing: the entire body (header sanity,
 // exact length, finite coordinates, positive weights) is validated
 // before the first point is applied, so a 400 always means zero points
 // ingested — FuzzBinaryBatch asserts exactly this, and the differential
@@ -184,12 +198,13 @@
 // identical state for identical input. Malformed bodies are 400,
 // over-cap bodies (bytes or points) 413.
 //
-// The binary path is also the fast one: one decode pass, one coordinate
-// allocation per request however many points, with the request body and
-// per-point slice headers recycled through a wire.BufferPool (the Multi
-// server shares one pool registry-wide via Registry.Buffers, and decodes
-// before taking the stream's lock). BenchmarkIngestWire measures the
-// difference against the same backend.
+// The binary path is also the fast one: one decode pass over fixed-width
+// floats, one coordinate allocation per request however many points,
+// with per-point slice headers recycled through a wire.BufferPool (the
+// request body buffer is pooled for both wires; the Multi server shares
+// one pool registry-wide via Registry.Buffers). BenchmarkIngestWire
+// measures the difference against the same backend, on a synthetic body
+// and on the Covtype-shaped body perfbench's routed workload sends.
 //
 // # Durability
 //

@@ -26,6 +26,24 @@ func (s *sinkClusterer) Count() int64                       { return s.count.Loa
 func (s *sinkClusterer) PointsStored() int                  { return 0 }
 func (s *sinkClusterer) Name() string                       { return "sink" }
 
+// ingestSeeds is the ndjson seed corpus FuzzIngest and
+// FuzzNDJSONMatchesReference share.
+var ingestSeeds = []string{
+	"[1,2]\n[3,4]\n",
+	`{"p":[1,2],"w":2.5}` + "\n[0.5,0.5]\n",
+	`{"p":[1,2],"w":0}`,
+	`{"p":[],"w":1}`,
+	`{"w":3}`,
+	"[]",
+	"[1,2][3]",
+	"[1e999]",
+	`"not a point"`,
+	"[1,2]\nnull\n",
+	"{\"p\":[1,2",
+	string([]byte{0xff, 0xfe, 0x00, 0x7b}),
+	"",
+}
+
 // FuzzIngest feeds arbitrary bytes to the ndjson ingest endpoint
 // (handleIngest + parsePoint): the handler must never panic, and anything
 // malformed must yield a clean 4xx — mirroring the persist package's
@@ -33,20 +51,9 @@ func (s *sinkClusterer) Name() string                       { return "sink" }
 // seed corpus; `go test -fuzz=FuzzIngest ./internal/server` explores
 // further.
 func FuzzIngest(f *testing.F) {
-	f.Add([]byte("[1,2]\n[3,4]\n"))
-	f.Add([]byte(`{"p":[1,2],"w":2.5}` + "\n[0.5,0.5]\n"))
-	f.Add([]byte(`{"p":[1,2],"w":0}`))
-	f.Add([]byte(`{"p":[],"w":1}`))
-	f.Add([]byte(`{"w":3}`))
-	f.Add([]byte("[]"))
-	f.Add([]byte("[1,2][3]"))
-	f.Add([]byte("[1e999]"))
-	f.Add([]byte(`"not a point"`))
-	f.Add([]byte("[1,2]\nnull\n"))
-	f.Add([]byte("{\"p\":[1,2"))
-	f.Add([]byte{0xff, 0xfe, 0x00, 0x7b})
-	f.Add([]byte(""))
-
+	for _, seed := range ingestSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := New(&sinkClusterer{}, Config{K: 2, MaxBatch: 8})
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data))

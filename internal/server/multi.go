@@ -25,7 +25,7 @@ type MultiConfig struct {
 	// pre-multi-tenant clients keep working unchanged. Default "default".
 	DefaultStream string
 	// MaxBatch caps how many points are applied to a backend per
-	// AddBatch call while streaming an ingest body. Default 512.
+	// AddBatch call while applying an ingest body. Default 512.
 	MaxBatch int
 	// MaxBodyBytes / MaxPoints are the per-request ingest caps, as in
 	// Config (413 beyond; 0 = defaults, negative = uncapped).
@@ -282,131 +282,51 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-// handleIngest streams points into the named stream, creating it lazily
-// (with the registry's default configuration) on first ingest — the
-// zero-ceremony tenant onboarding path. Content-Type
+// handleIngest applies an ingest body to the named stream, creating it
+// lazily (with the registry's default configuration) on first ingest —
+// the zero-ceremony tenant onboarding path. Content-Type
 // application/x-streamkm-batch selects the binary columnar path;
 // anything else is ndjson.
+//
+// The (byte-capped) body is buffered and decoded in full before the
+// registry is entered, so the stream's read lock covers only the apply:
+// decoding inside it would stall hibernation, checkpoints and — through
+// the RWMutex's writer preference — every other request to the same
+// stream for as long as the decode takes. A body that can apply nothing
+// (malformed binary, or an ndjson body whose first record fails) is
+// answered before the registry is touched, so a typo'd id or a
+// malformed-body spray never registers (and later checkpoints) a
+// tenant; neither does an empty body.
 func (m *Multi) handleIngest(id string, w http.ResponseWriter, r *http.Request) (int64, bool) {
-	// Buffer the (byte-capped) body before entering the registry: decoding
-	// straight off the socket would hold the stream's read lock for the
-	// lifetime of a slow upload, stalling hibernation, checkpoints and —
-	// through the RWMutex's writer preference — every other request to the
-	// same stream. The buffer comes from the registry-wide pool; With is
-	// synchronous and both decode paths copy out of it, so it can be
-	// returned as soon as the handler is done.
+	// The buffer comes from the registry-wide pool; With is synchronous
+	// and both decoders copy out of it, so it can be returned as soon as
+	// the handler is done.
 	pool := m.reg.Buffers()
 	sp := trace.FromContext(r.Context())
 	endRead := sp.StartStage("body-read")
-	raw, rstatus, rmsg := readBody(w, r, m.cfg.MaxBodyBytes, pool)
+	raw, status, msg := readBody(w, r, m.cfg.MaxBodyBytes, pool)
 	endRead()
 	defer pool.PutBytes(raw)
-	if rstatus != 0 {
-		writeJSON(w, rstatus, map[string]interface{}{
-			"error":    rmsg,
-			"stream":   id,
-			"ingested": 0,
-		})
-		return 0, true
-	}
-	if isBinaryBatch(r) {
-		return m.ingestBinary(id, w, r, raw)
-	}
-	// Vet the first record before touching the registry: lazy creation
-	// must not register (and later checkpoint) a tenant for a body that
-	// cannot ingest anything — a typo'd id or a malformed-body spray
-	// would otherwise pollute the stream map and the data dir forever.
-	probe := json.NewDecoder(bytes.NewReader(raw))
-	var first json.RawMessage
-	create := true
-	if err := probe.Decode(&first); err != nil {
-		if !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, map[string]interface{}{
-				"error":    fmt.Sprintf("malformed ingest body: %v", err),
-				"stream":   id,
-				"ingested": 0,
-			})
-			return 0, true
-		}
-		create = false // empty body never creates a stream
-	} else if _, _, err := parsePoint(first); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]interface{}{
-			"error":    fmt.Sprintf("point 0: %v", err),
-			"stream":   id,
-			"ingested": 0,
-		})
-		return 0, true
-	}
-
-	body := bytes.NewReader(raw)
-	var (
-		ingested int64
-		status   int
-		msg      string
-		count    int64
-	)
-	err := m.reg.WithContext(r.Context(), id, create, func(s *registry.Stream, b registry.Backend) error {
-		endQuota := sp.StartStage("quota")
-		err := m.reg.AdmitIngest(s, b, int64(len(raw)))
-		endQuota()
-		if err != nil {
-			return err
-		}
-		// ndjson decoding is interleaved with application, so the two
-		// report as one cluster-apply stage.
-		endApply := sp.StartStage("cluster-apply")
-		ingested, status, msg = runIngest(body, m.cfg.MaxBatch, m.cfg.MaxPoints, b, s.CheckDim)
-		endApply()
-		m.reg.ChargeIngest(s, ingested)
-		count = b.Count()
-		return nil
-	})
-	if err != nil {
-		writeErrExtra(w, err, map[string]interface{}{"stream": id, "ingested": ingested})
-		return ingested, true
+	var body decodedIngest
+	if status == 0 {
+		endDecode := sp.StartStage("wire-decode")
+		body, status, msg = decodeIngest(r, raw, m.cfg.MaxPoints, pool)
+		endDecode()
+		defer pool.PutBatch(body.binary)
 	}
 	if status != 0 {
 		writeJSON(w, status, map[string]interface{}{
 			"error":    msg,
 			"stream":   id,
-			"ingested": ingested,
-		})
-		return ingested, true
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"stream":   id,
-		"ingested": ingested,
-		"count":    count,
-	})
-	return ingested, false
-}
-
-// ingestBinary applies one already-buffered binary batch body to the
-// named stream. The decode — the expensive half — runs here, before the
-// registry is entered, so the stream's read lock is held only for the
-// AddBatch calls themselves; the ndjson path cannot split the two
-// because its decoding is interleaved with application. An empty batch
-// never creates a stream, mirroring the ndjson empty-body rule.
-func (m *Multi) ingestBinary(id string, w http.ResponseWriter, r *http.Request, raw []byte) (int64, bool) {
-	pool := m.reg.Buffers()
-	sp := trace.FromContext(r.Context())
-	endDecode := sp.StartStage("wire-decode")
-	batch, status, msg := decodeBinary(raw, m.cfg.MaxPoints, pool)
-	endDecode()
-	if status != 0 {
-		writeJSON(w, status, map[string]interface{}{
-			"error":    msg,
-			"stream":   id,
 			"ingested": 0,
 		})
 		return 0, true
 	}
-	defer pool.PutBatch(batch)
 	var (
 		ingested int64
 		count    int64
 	)
-	err := m.reg.WithContext(r.Context(), id, batch.Len() > 0, func(s *registry.Stream, b registry.Backend) error {
+	err := m.reg.WithContext(r.Context(), id, body.len() > 0, func(s *registry.Stream, b registry.Backend) error {
 		endQuota := sp.StartStage("quota")
 		err := m.reg.AdmitIngest(s, b, int64(len(raw)))
 		endQuota()
@@ -414,7 +334,7 @@ func (m *Multi) ingestBinary(id string, w http.ResponseWriter, r *http.Request, 
 			return err
 		}
 		endApply := sp.StartStage("cluster-apply")
-		ingested, status, msg = applyBinary(batch, m.cfg.MaxBatch, b, s.CheckDim)
+		ingested, status, msg = body.apply(m.cfg.MaxBatch, b, s.CheckDim)
 		endApply()
 		m.reg.ChargeIngest(s, ingested)
 		count = b.Count()

@@ -85,7 +85,7 @@ type Config struct {
 	// of the first ingested point.
 	Dim int
 	// MaxBatch caps how many points are applied to the backend per
-	// AddBatch call while streaming an ingest body. Default 512.
+	// AddBatch call while applying an ingest body. Default 512.
 	MaxBatch int
 	// SnapshotPath, when non-empty, is where POST /snapshot (and the
 	// daemon's checkpoint ticker, via WriteCheckpoint) persists the
@@ -127,7 +127,7 @@ type Server struct {
 
 	checkpointMu sync.Mutex // serializes temp-file writes to SnapshotPath
 
-	pool wire.BufferPool // recycles binary-ingest body/header buffers
+	pool wire.BufferPool // recycles ingest body buffers and binary point headers
 
 	tr     *trace.Recorder
 	logger *slog.Logger
@@ -230,58 +230,34 @@ func (s *Server) observe(name string, st *metrics.EndpointStats, h handled) http
 // Traces returns the recorder behind GET /debug/traces.
 func (s *Server) Traces() *trace.Recorder { return s.tr }
 
-// ingestValue is one ndjson value in an ingest body: either a bare JSON
-// array (a unit-weight point) or an object {"p":[...],"w":2.5}. W is a
-// pointer so an absent weight (default 1) is distinguishable from an
-// explicit, invalid "w":0.
-type ingestValue struct {
-	P []float64 `json:"p"`
-	W *float64  `json:"w"`
-}
-
-// handleIngest applies the request body's points to the backend. An
-// application/x-streamkm-batch body takes the binary columnar path (one
-// decode pass, one coordinate allocation, pooled buffers; all-or-nothing
-// by construction); anything else streams through the ndjson
-// compatibility path, which on a malformed value, dimension mismatch or
-// exceeded request cap stops, keeps what was already applied, and
-// reports both the error and the applied count.
+// handleIngest applies the request body's points to the backend. The
+// byte-capped body is buffered and decoded in full before the backend is
+// touched, in the wire format its Content-Type negotiates (see
+// decodeIngest): an application/x-streamkm-batch body takes the binary
+// columnar path (one decode pass, one coordinate allocation, pooled
+// buffers; all-or-nothing by construction); anything else is ndjson,
+// which on a malformed value, dimension mismatch or exceeded point cap
+// stops, keeps the records before it applied, and reports both the error
+// and the applied count. A body over the byte cap is refused with 413
+// before anything is applied.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	var (
-		ingested int64
-		status   int
-		msg      string
-	)
 	sp := trace.FromContext(r.Context())
-	if isBinaryBatch(r) {
-		endRead := sp.StartStage("body-read")
-		raw, st, m := readBody(w, r, s.cfg.MaxBodyBytes, &s.pool)
-		endRead()
-		if st != 0 {
-			writeJSON(w, st, map[string]interface{}{"error": m, "ingested": 0})
-			s.pool.PutBytes(raw)
-			return 0, true
-		}
+	endRead := sp.StartStage("body-read")
+	raw, status, msg := readBody(w, r, s.cfg.MaxBodyBytes, &s.pool)
+	endRead()
+	defer s.pool.PutBytes(raw)
+	var ingested int64
+	if status == 0 {
 		endDecode := sp.StartStage("wire-decode")
-		batch, dst, dmsg := decodeBinary(raw, s.cfg.MaxPoints, &s.pool)
+		var body decodedIngest
+		body, status, msg = decodeIngest(r, raw, s.cfg.MaxPoints, &s.pool)
 		endDecode()
-		if dst != 0 {
-			writeJSON(w, dst, map[string]interface{}{"error": dmsg, "ingested": 0})
-			s.pool.PutBytes(raw)
-			return 0, true
+		defer s.pool.PutBatch(body.binary)
+		if status == 0 {
+			endApply := sp.StartStage("cluster-apply")
+			ingested, status, msg = body.apply(s.cfg.MaxBatch, s.c, s.checkDim)
+			endApply()
 		}
-		endApply := sp.StartStage("cluster-apply")
-		ingested, status, msg = applyBinary(batch, s.cfg.MaxBatch, s.c, s.checkDim)
-		endApply()
-		s.pool.PutBatch(batch)
-		s.pool.PutBytes(raw)
-	} else {
-		body := limitBody(w, r, s.cfg.MaxBodyBytes)
-		// ndjson decoding is interleaved with application, so the two
-		// report as one cluster-apply stage.
-		endApply := sp.StartStage("cluster-apply")
-		ingested, status, msg = runIngest(body, s.cfg.MaxBatch, s.cfg.MaxPoints, s.c, s.checkDim)
-		endApply()
 	}
 	if status != 0 {
 		writeJSON(w, status, map[string]interface{}{
@@ -295,39 +271,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) (int64, bo
 		"count":    s.c.Count(),
 	})
 	return ingested, false
-}
-
-// parsePoint interprets one raw ingest value.
-func parsePoint(raw json.RawMessage) ([]float64, float64, error) {
-	i := 0
-	for i < len(raw) && (raw[i] == ' ' || raw[i] == '\t' || raw[i] == '\n' || raw[i] == '\r') {
-		i++
-	}
-	if i < len(raw) && raw[i] == '{' {
-		var v ingestValue
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, 0, fmt.Errorf("malformed weighted point: %v", err)
-		}
-		w := 1.0
-		if v.W != nil {
-			w = *v.W
-		}
-		if w <= 0 {
-			return nil, 0, fmt.Errorf("weight must be > 0, got %v", w)
-		}
-		if len(v.P) == 0 {
-			return nil, 0, errors.New(`weighted point has empty "p"`)
-		}
-		return v.P, w, nil
-	}
-	var p []float64
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, 0, fmt.Errorf("expected a JSON array of coordinates: %v", err)
-	}
-	if len(p) == 0 {
-		return nil, 0, errors.New("empty point")
-	}
-	return p, 1, nil
 }
 
 // checkDim enforces a single stream dimension, adopting the first point's

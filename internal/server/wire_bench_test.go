@@ -2,47 +2,43 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"streamkm/internal/datagen"
 	"streamkm/internal/wire"
 )
 
 // BenchmarkIngestWire measures the HTTP ingest path's codec cost on both
 // wire formats with clustering stubbed out (sinkClusterer), so the delta
 // is purely parse + allocate: the overhead the binary columnar format
-// exists to remove. Points/op equalized; compare ns/op and allocs/op
-// across the sub-benchmarks.
+// exists to remove. Two body shapes: synthetic500 is 500 points of short
+// values; covtype1000 is what perfbench's routed workload sends, 1000
+// Covtype stand-in points quantized to float32 and formatted shortest
+// ('g', -1), about 244 KB of ndjson per request. Points/op are equal
+// between the wires of a shape; compare points/s and allocs/op.
 func BenchmarkIngestWire(b *testing.B) {
-	const (
-		points = 500
-		dim    = 54 // covtype's dimensionality, the repo's reference dataset
-	)
-	pts := make([][]float64, points)
-	for i := range pts {
+	const dim = 54 // covtype's dimensionality, the repo's reference dataset
+	synthetic := make([][]float64, 500)
+	for i := range synthetic {
 		p := make([]float64, dim)
 		for j := range p {
 			p[j] = float64(i%7) + float64(j)*0.25
 		}
-		pts[i] = p
+		synthetic[i] = p
 	}
-
-	var nd bytes.Buffer
-	enc := json.NewEncoder(&nd)
-	for _, p := range pts {
-		if err := enc.Encode(p); err != nil {
-			b.Fatal(err)
+	covtype := make([][]float64, 1000)
+	for i, src := range datagen.Covtype(len(covtype), 1).Points {
+		p := make([]float64, len(src))
+		for j, v := range src {
+			p[j] = wire.Quantize(v)
 		}
-	}
-	bin, err := wire.EncodeBatch(pts, nil)
-	if err != nil {
-		b.Fatal(err)
+		covtype[i] = p
 	}
 
-	run := func(b *testing.B, contentType string, body []byte) {
+	run := func(b *testing.B, contentType string, body []byte, points int) {
 		srv := New(&sinkClusterer{}, Config{K: 2, Dim: dim, MaxBatch: 512})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -63,9 +59,18 @@ func BenchmarkIngestWire(b *testing.B) {
 		}
 		b.ReportMetric(float64(points)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	}
-
-	b.Run("ndjson", func(b *testing.B) { run(b, "application/x-ndjson", nd.Bytes()) })
-	b.Run("binary", func(b *testing.B) { run(b, wire.ContentType, bin) })
+	for _, shape := range []struct {
+		name string
+		pts  [][]float64
+	}{{"synthetic500", synthetic}, {"covtype1000", covtype}} {
+		nd := []byte(pointsNDJSON(shape.pts)) // %v formats as 'g', -1
+		bin, err := wire.EncodeBatch(shape.pts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name+"/ndjson", func(b *testing.B) { run(b, "application/x-ndjson", nd, len(shape.pts)) })
+		b.Run(shape.name+"/binary", func(b *testing.B) { run(b, wire.ContentType, bin, len(shape.pts)) })
+	}
 }
 
 // BenchmarkBinaryDecode isolates the codec itself (no HTTP): one batch

@@ -7,11 +7,15 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"streamkm/internal/geom"
 	"streamkm/internal/registry"
+	"streamkm/internal/trace"
 	"streamkm/internal/wire"
 )
 
@@ -338,5 +342,55 @@ func TestBinaryIngestEmptyBatchNeverCreatesStream(t *testing.T) {
 	resp, m := getJSON(t, ts.URL+"/streams")
 	if total := m["total"].(float64); total != 0 {
 		t.Fatalf("stream registered by empty batch: %v (status %d)", m, resp.StatusCode)
+	}
+}
+
+// TestIngestStagesMatchAcrossWires: an ndjson body is decoded in full
+// before it is applied, as a binary one is, so on both servers the two
+// wires record the same trace stages, wire-decode ahead of cluster-apply.
+func TestIngestStagesMatchAcrossWires(t *testing.T) {
+	pts := quantPoints(20, 3, 1)
+	srv := New(&sinkClusterer{}, Config{K: 2})
+	single := httptest.NewServer(srv.Handler())
+	t.Cleanup(single.Close)
+	multi, m := newMultiServer(t, registry.Config{}, MultiConfig{})
+	// Create the stream first, so both measured requests take the
+	// registry's resident path.
+	postWire(t, multi.URL+"/streams/s/ingest", false, pts, nil)
+
+	for _, tc := range []struct {
+		name string
+		url  string
+		tr   *trace.Recorder
+	}{
+		{"Server", single.URL + "/ingest", srv.Traces()},
+		{"Multi", multi.URL + "/streams/s/ingest", m.Traces()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sets [][]string
+			for _, binary := range []bool{false, true} {
+				before := len(tc.tr.Spans(trace.Filter{Endpoint: "ingest"}))
+				postWire(t, tc.url, binary, pts, nil)
+				var spans []trace.SpanData
+				for deadline := time.Now().Add(5 * time.Second); len(spans) <= before; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("ingest span never recorded")
+					}
+					spans = tc.tr.Spans(trace.Filter{Endpoint: "ingest"})
+				}
+				var names []string
+				for _, st := range spans[0].Stages {
+					names = append(names, st.Name)
+				}
+				sets = append(sets, names)
+			}
+			if !reflect.DeepEqual(sets[0], sets[1]) {
+				t.Fatalf("ndjson recorded stages %v, binary %v", sets[0], sets[1])
+			}
+			decode, apply := slices.Index(sets[0], "wire-decode"), slices.Index(sets[0], "cluster-apply")
+			if decode < 0 || apply < decode {
+				t.Fatalf("stages %v: want wire-decode, then cluster-apply", sets[0])
+			}
+		})
 	}
 }

@@ -550,13 +550,16 @@ func (b *concurrentBackend) Snapshot(w io.Writer) error {
 // decayedBackend serves the sharded forward-decay pipeline: the tiny
 // sequencing step stamps every batch's global decay times (arrival
 // indices, or monotonic wall-clock seconds in HalfLifeSeconds mode),
-// coreset insertion proceeds under per-lane locks, and queries merge the
-// lane coresets — rescaled to a common reference time — behind the same
-// cached-centers single-flight fast path as Concurrent. The cache
-// freshness test keys on arrival count only: with no new arrivals, decay
-// scales every weight by the same factor, and k-means centers are
-// invariant under uniform weight scaling, so a count-fresh entry stays
-// correct even as wall-clock time passes.
+// coreset insertion proceeds under per-lane locks, and each batch ends by
+// publishing its lane's view — for CC lanes the cached major prefix plus
+// the buckets after it, unreduced, with the lane's reference time. A
+// refresh unions those views rescaled to a common reference time without
+// taking a lane lock and without reducing, behind the same cached-centers
+// single-flight fast path as Concurrent, and stamps the cache entry with
+// the arrivals the views cover. The cache freshness test keys on arrival
+// count only: with no new arrivals, decay scales every weight by the same
+// factor, and k-means centers are invariant under uniform weight scaling,
+// so a count-fresh entry stays correct even as wall-clock time passes.
 type decayedBackend struct {
 	spec  BackendSpec
 	sh    *decay.Sharded
@@ -638,21 +641,15 @@ func (b *decayedBackend) RefreshContext(ctx context.Context) [][]float64 {
 	return clonePoints(b.refreshLocked(ctx))
 }
 
-// refreshLocked gathers and rescales the lane coresets (the shard-merge
+// refreshLocked gathers and rescales the lane views (the shard-merge
 // trace stage), runs the query k-means over the union, and installs the
-// new cache entry. Caller holds refreshMu.
+// new cache entry, stamped with the arrivals the union covers. Caller
+// holds refreshMu.
 func (b *decayedBackend) refreshLocked(ctx context.Context) []Point {
-	count := b.sh.Count()
 	done := trace.FromContext(ctx).StartStage("shard-merge")
-	union := b.sh.Coreset()
+	union, count := b.sh.Gather()
 	done()
-	cs := b.sh.CoresetCenters(union)
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	b.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
+	return storeCenters(&b.cache, b.sh.CoresetCenters(union), count).centers
 }
 
 func (b *decayedBackend) CacheStats() (hits, misses int64) {
@@ -781,13 +778,7 @@ func (b *windowedBackend) refreshLocked(ctx context.Context) []Point {
 	done := trace.FromContext(ctx).StartStage("shard-merge")
 	union := b.sh.Coreset()
 	done()
-	cs := b.sh.CoresetCenters(union)
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	b.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
+	return storeCenters(&b.cache, b.sh.CoresetCenters(union), count).centers
 }
 
 func (b *windowedBackend) CacheStats() (hits, misses int64) {

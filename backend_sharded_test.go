@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
+	"streamkm/internal/decay"
 	"streamkm/internal/registry"
 )
 
@@ -188,6 +191,93 @@ func TestRestoreGoldenLegacyBackends(t *testing.T) {
 			}
 			if r.Count() != tc.count+2 {
 				t.Fatalf("re-restored count %d, want %d", r.Count(), tc.count+2)
+			}
+		})
+	}
+}
+
+// TestDecayedRefreshDoesNotWaitForLaneLocks: a decayed backend's lanes
+// publish their views at batch end, so Refresh recomputes while Quiesce
+// holds every lane lock instead of waiting for it.
+func TestDecayedRefreshDoesNotWaitForLaneLocks(t *testing.T) {
+	for _, name := range []string{"decayed", "decayed-wall"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := Open(shardedSpecs()[name], Config{BucketSize: 20, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := backendStream(600, 43)
+			for i := 0; i < len(pts); i += 100 {
+				b.AddBatch(pts[i : i+100])
+			}
+			db := b.(*decayedBackend)
+			err = db.sh.Quiesce(func([]*decay.Shard, int64, int64, int64) error {
+				done := make(chan [][]float64)
+				go func() { done <- db.Refresh() }()
+				select {
+				case got := <-done:
+					if len(got) != 3 {
+						t.Errorf("Refresh under Quiesce: %d centers, want 3", len(got))
+					}
+				case <-time.After(10 * time.Second):
+					t.Error("Refresh still blocked on the lane locks after 10s")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDecayedRefreshCoversCount races AddBatch producers (arrival-count
+// and wall-clock decay) against Refresh: every cache entry covers at
+// least the count read before its refresh, and the last one covers every
+// arrival. Run with -race -count=10.
+func TestDecayedRefreshCoversCount(t *testing.T) {
+	for _, name := range []string{"decayed", "decayed-wall"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := Open(shardedSpecs()[name], Config{BucketSize: 20, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := b.(*decayedBackend)
+			var wg sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					pts := backendStream(900, int64(50+p))
+					for i := 0; i < len(pts); i += 45 {
+						b.AddBatch(pts[i : i+45])
+					}
+				}(p)
+			}
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					n := b.Count()
+					db.Refresh()
+					if got := db.cache.Load().count; got < n {
+						t.Errorf("refresh stamped %d after reading count %d", got, n)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			<-done
+			db.Refresh()
+			if got := db.cache.Load().count; got != 2700 {
+				t.Fatalf("final entry stamped %d, want 2700", got)
 			}
 		})
 	}

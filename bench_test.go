@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"streamkm/internal/core"
 	"streamkm/internal/coreset"
@@ -21,6 +22,7 @@ import (
 	"streamkm/internal/experiments"
 	"streamkm/internal/geom"
 	"streamkm/internal/kmeans"
+	"streamkm/internal/parallel"
 	"streamkm/internal/workload"
 )
 
@@ -362,5 +364,65 @@ func BenchmarkStructureUpdate(b *testing.B) {
 				s.Update(geom.CloneWeighted(bucket))
 			}
 		})
+	}
+}
+
+// countingBuilder is coreset.KMeansPP counting the builds it runs and the
+// points they reduce.
+type countingBuilder struct{ builds, points int }
+
+func (c *countingBuilder) Name() string { return coreset.KMeansPP{}.Name() }
+
+func (c *countingBuilder) Build(rng *rand.Rand, pts []geom.Weighted, m int) []geom.Weighted {
+	c.builds++
+	c.points += len(pts)
+	return coreset.KMeansPP{}.Build(rng, pts, m)
+}
+
+// BenchmarkLaneBatch measures the serving shape of a concurrent tenant's
+// lanes: a 2-lane parallel.Sharded of CC drivers (k = 10, m = 200, r = 2)
+// fed 512-point AddBatchTo batches of the Covtype stand-in (d = 54, a
+// 64-batch pool replayed in order, as perfbench replays its bodies) until
+// each lane holds 600 buckets. It reports the time per batch, the points
+// all coreset builds reduced per batch, the part of them reduced at batch
+// end (all builds minus the tree's own merges of r buckets), and the
+// points one lane publishes for queries to gather.
+func BenchmarkLaneBatch(b *testing.B) {
+	const (
+		k, m, r, lanes = 10, 200, 2, 2
+		batch, buckets = 512, 600
+		poolBatches    = 64
+	)
+	pool := geom.Wrap(benchData(b, "covtype", poolBatches*batch).Points)
+	batches := (lanes*buckets*m + batch - 1) / batch
+	// Tree merges at 600 buckets per lane: one per trailing zero binary
+	// digit of each bucket count, each over r·m points.
+	treeMerges := 0
+	for n := 1; n <= buckets; n++ {
+		for x := n; x%r == 0; x /= r {
+			treeMerges++
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		cb := &countingBuilder{}
+		sh, err := parallel.NewSharded(lanes, k, 1, kmeans.FastOptions(), func(_ int, seed int64) *core.Driver {
+			rng := rand.New(rand.NewSource(seed))
+			return core.NewDriver(core.NewCC(r, m, cb, rng), k, m, rng, kmeans.FastOptions())
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		for j := 0; j < batches; j++ {
+			off := (j % poolBatches) * batch
+			sh.AddBatchTo(sh.NextShard(), pool[off:off+batch])
+		}
+		elapsed := time.Since(start)
+		if i == b.N-1 {
+			b.ReportMetric(float64(elapsed.Microseconds())/1e3/float64(batches), "ms/batch")
+			b.ReportMetric(float64(cb.points)/float64(batches), "reduced-pts/batch")
+			b.ReportMetric(float64(cb.points-lanes*treeMerges*r*m)/float64(batches), "batch-end-pts/batch")
+			b.ReportMetric(float64(len(sh.CoresetUnion()))/lanes, "view-pts/lane")
+		}
 	}
 }

@@ -20,15 +20,19 @@ import (
 // per-shard coresets is a coreset of the union of the substreams). Each
 // shard is independently locked, so producers pinned to distinct shards
 // never contend; AddBatch amortizes one lock acquisition over a whole
-// batch, and ends it by warming the shard — a CC or RCC shard that
-// completed a bucket runs its coreset query there — and publishing the
-// shard's summary as an immutable view. A recomputation unions those
-// views without taking the shard locks, so it neither reduces on the
-// query path nor waits for a batch in progress; only a shard fed point
-// by point (Add, AddTo, AddWeighted) since its last batch, or restored
-// and not yet fed a batch, is gathered under its lock. Shards copy the
-// coordinates they keep into storage they own, so callers may reuse
-// their point slices once an add returns.
+// batch, and ends it by publishing the shard's summary as an immutable
+// view: a CC shard caches the coreset of every prefix of its bucket count
+// that CC's query path needs (Lemma 4) and publishes the cached major
+// prefix plus the tree buckets after it and the partial bucket,
+// unreduced; an RCC shard runs its coreset query. A recomputation unions
+// those views without taking the shard locks, so it neither reduces on
+// the query path nor waits for a batch in progress; only a shard fed
+// point by point (Add, AddTo, AddWeighted) since its last batch, or
+// restored and not yet fed a batch, builds its view under its lock. Each
+// view records the points it covers, and the cache entry is stamped with
+// the sum over the views its union came from. Shards copy the coordinates
+// they keep into storage they own, so callers may reuse their point
+// slices once an add returns.
 //
 // Queries take the cached-centers fast path: the centers computed by the
 // previous query are reused until the stream has grown by more than a
@@ -49,10 +53,15 @@ type Concurrent struct {
 	refreshMu sync.Mutex // single-flight guard for recomputation
 
 	hits, misses atomic.Int64
+
+	// refreshed, when set, sees every refresh's union and the cache entry
+	// stamped from it (a test hook; nil otherwise).
+	refreshed func(union []geom.Weighted, entry *centersSnapshot)
 }
 
 // centersSnapshot is one immutable cache entry: the centers computed by a
-// query and the stream count at the moment the computation started.
+// query and the number of points the union they were computed from
+// covers.
 type centersSnapshot struct {
 	centers []Point
 	count   int64
@@ -161,19 +170,28 @@ func (c *Concurrent) recompute() []Point {
 	return clonePoints(c.refreshLocked())
 }
 
-// refreshLocked unions the shard coresets, runs k-means++, and installs
-// the new cache entry. Caller holds refreshMu. The count is read before
-// the union so points racing in during the computation conservatively
-// age the new entry rather than extending its life.
+// refreshLocked unions the shard views, runs k-means++, and installs the
+// new cache entry, stamped with the count the union covers. Caller holds
+// refreshMu.
 func (c *Concurrent) refreshLocked() []Point {
-	count := c.inner.Count()
-	cs := c.inner.Centers()
+	union, count := c.inner.Gather()
+	entry := storeCenters(&c.cache, c.inner.CoresetCenters(union), count)
+	if c.refreshed != nil {
+		c.refreshed(union, entry)
+	}
+	return entry.centers
+}
+
+// storeCenters installs centers computed from a union that covers count
+// points as cache's entry, and returns the entry.
+func storeCenters(cache *atomic.Pointer[centersSnapshot], cs []geom.Point, count int64) *centersSnapshot {
 	centers := make([]Point, len(cs))
 	for i, p := range cs {
 		centers[i] = []float64(p)
 	}
-	c.cache.Store(&centersSnapshot{centers: centers, count: count})
-	return centers
+	entry := &centersSnapshot{centers: centers, count: count}
+	cache.Store(entry)
+	return entry
 }
 
 // fresh reports whether a cache entry computed at count `cached` still

@@ -2,6 +2,7 @@ package streamkm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,5 +261,56 @@ func TestConcurrentRefreshCoversCount(t *testing.T) {
 	qwg.Wait()
 	if w := geom.TotalWeight(c.inner.CoresetUnion()); w != 2000+2*300 {
 		t.Fatalf("final union weight %v, want %d", w, 2000+2*300)
+	}
+}
+
+// TestRefreshStampsTheCountItsUnionCovers races unit-weight AddBatch
+// producers against Refresh: every cache entry's count equals the total
+// weight of the union its centers were computed from, exactly, so cache
+// freshness no longer depends on the order in which a batch publishes its
+// view and advances the count. Run with -race -count=10.
+func TestRefreshStampsTheCountItsUnionCovers(t *testing.T) {
+	c := MustNewConcurrent(AlgoCC, 2, Config{K: 3, BucketSize: 20})
+	var entries atomic.Int64
+	c.refreshed = func(union []geom.Weighted, entry *centersSnapshot) {
+		entries.Add(1)
+		if w := geom.TotalWeight(union); w != float64(entry.count) {
+			t.Errorf("cache entry stamped %d from a union of weight %v", entry.count, w)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			pts := mixturePoints(1500, int64(20+p))
+			for i := 0; i < len(pts); i += 30 {
+				c.AddBatch(pts[i : i+30])
+			}
+		}(p)
+	}
+	stop := make(chan struct{})
+	var qwg sync.WaitGroup
+	for q := 0; q < 2; q++ {
+		qwg.Add(1)
+		go func() {
+			defer qwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Refresh()
+				c.Centers()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	qwg.Wait()
+	c.Refresh()
+	if snap := c.cache.Load(); snap.count != 3000 || entries.Load() < 2 {
+		t.Fatalf("final entry stamped %d after %d refreshes, want 3000", snap.count, entries.Load())
 	}
 }

@@ -15,7 +15,7 @@ import (
 // caching design exists for), or a full fall back to the coreset tree.
 type CCStats struct {
 	ExactHits int64 // coreset for [1, N] already cached
-	MajorHits int64 // coreset for [1, major(N)] cached; merged with <= r-1 tree buckets
+	MajorHits int64 // coreset for [1, major(N)] cached, or the tree's bucket when major(N) = r^α; merged with <= r-1 tree buckets
 	Fallbacks int64 // cache useless; merged all active tree buckets (CT behaviour)
 }
 
@@ -31,6 +31,13 @@ func (s CCStats) Queries() int64 { return s.ExactHits + s.MajorHits + s.Fallback
 //
 // If the needed prefix is not cached (queries are infrequent), CC falls
 // back to exactly CT's query path, so it is never worse than CT.
+//
+// PrefixView keeps the cache ahead of queries instead: it caches every
+// key of prefixsum(N) (Lemma 4's precondition) with one reduce of at most
+// r·m points per new key, and returns the coreset for [1, major(N)] plus
+// the tree buckets covering (major(N), N] without reducing them. Serving
+// lanes publish that view at the end of each ingest batch, so queries
+// union views and never reduce.
 type CC struct {
 	tree    *coretree.Tree
 	cache   *coresetCache
@@ -55,19 +62,8 @@ func NewCC(r, m int, b coreset.Builder, rng *rand.Rand) *CC {
 }
 
 // Update implements Structure (CC-Update): identical to CT's update; the
-// cache is maintained at query time, or ahead of it by Warm.
+// cache is maintained at query time, or ahead of it by PrefixView.
 func (c *CC) Update(bucket []geom.Weighted) { c.tree.Update(bucket) }
-
-// Warm runs the query path if the coreset for [1, N] is not cached yet,
-// so that the next query is an exact hit. When it is cached already, Warm
-// touches neither the cache nor Stats.
-func (c *CC) Warm() {
-	if n := c.tree.N(); n > 0 {
-		if _, ok := c.cache.get(n); !ok {
-			c.CoresetBucket()
-		}
-	}
-}
 
 // Coreset implements Structure (CC-Coreset). The returned slice must not be
 // mutated by the caller: it aliases cached storage.
@@ -89,7 +85,7 @@ func (c *CC) CoresetBucket() coretree.Bucket {
 
 	var parts []coretree.Bucket
 	major := basen.Major(n, c.r)
-	if b1, ok := c.cache.get(major); major > 0 && ok {
+	if b1, ok := c.prefix(major); major > 0 && ok {
 		// Fast path: cached [1, major] plus the beta <= r-1 tree buckets at
 		// the minor term's level, which span exactly (major, N].
 		c.stats.MajorHits++
@@ -107,6 +103,67 @@ func (c *CC) CoresetBucket() coretree.Bucket {
 	c.cache.put(n, merged)
 	c.cache.evictTo(n, c.r)
 	return merged
+}
+
+// prefix returns a coreset for base buckets [1, key], where key > 0 is a
+// member of prefixsum(N): the cached one if there is one, else, when key
+// is 1·r^α, the tree's own bucket at level α. N's top digit is then 1 at
+// position α, so that bucket is the only one there and spans [1, key].
+func (c *CC) prefix(key int) (coretree.Bucket, bool) {
+	if b, ok := c.cache.get(key); ok {
+		return b, true
+	}
+	if mt, _ := basen.MinorTerm(key, c.r); mt.Value == key && mt.Beta == 1 {
+		if bs := c.tree.BucketsAtLevel(mt.Alpha); len(bs) == 1 {
+			return bs[0], true
+		}
+	}
+	return coretree.Bucket{}, false
+}
+
+// PrefixView makes sure the coreset for every key of prefixsum(N) is
+// available and returns the coreset for [1, major(N)] (absent when N has
+// a single non-zero digit) followed by the tree buckets at N's minor
+// level, which span (major(N), N]. The parts are not reduced together: a
+// union of coresets is a coreset of the union (Observation 1).
+//
+// Keys are built smallest first, each K from [1, major(K)] and the β <=
+// r-1 tree buckets at K's minor level — the buckets the tree at N holds
+// there, since N and K agree on that digit. That is Algorithm 3's fast
+// path at exactly the keys Lemma 4 needs, so a key costs one reduce of at
+// most r·m points, and only when it is new. A key 1·r^α is the tree's own
+// bucket and is not cached. The cache is then evicted to prefixsum(N) ∪
+// {N}, as after a query. Stats are not touched. The returned buckets
+// alias cached and tree storage; callers must not mutate them.
+func (c *CC) PrefixView() []coretree.Bucket {
+	n := c.tree.N()
+	if n == 0 {
+		return nil
+	}
+	terms := basen.Terms(n, c.r)
+	var head coretree.Bucket // coreset for [1, key]
+	key := 0
+	for i := len(terms) - 1; i > 0; i-- {
+		t := terms[i]
+		b, ok := c.prefix(key + t.Value)
+		if !ok {
+			parts := make([]coretree.Bucket, 0, t.Beta+1)
+			if key > 0 {
+				parts = append(parts, head)
+			}
+			parts = append(parts, c.tree.BucketsAtLevel(t.Alpha)...)
+			b = coretree.MergeBuckets(c.builder, c.rng, c.m, parts...)
+			c.cache.put(key+t.Value, b)
+		}
+		head, key = b, key+t.Value
+	}
+	c.cache.evictTo(n, c.r)
+	minor := c.tree.BucketsAtLevel(terms[0].Alpha)
+	view := make([]coretree.Bucket, 0, len(minor)+1)
+	if key > 0 {
+		view = append(view, head)
+	}
+	return append(view, minor...)
 }
 
 // PointsStored implements Structure: tree plus cache contents.
@@ -136,3 +193,7 @@ func (c *CC) Tree() *coretree.Tree { return c.tree }
 // CacheKeys returns the currently cached span endpoints in ascending order
 // (test hook for Lemma 4 / the eviction rule).
 func (c *CC) CacheKeys() []int { return c.cache.keys() }
+
+// CachedBucket returns the cached coreset for [1, key], if any (test
+// hook; the bucket aliases cached storage).
+func (c *CC) CachedBucket(key int) (coretree.Bucket, bool) { return c.cache.get(key) }

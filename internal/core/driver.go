@@ -93,16 +93,35 @@ func (d *Driver) AddWeighted(wp geom.Weighted) {
 	}
 }
 
-// Warm runs the structure's coreset query if the structure caches
-// coresets (CC, RCC) and gained a bucket since its last query, so the
-// next Coreset or CoresetUnion is an exact cache hit instead of a reduce.
-// Lane-sharded ingest calls it at the end of each batch, while the lane
-// is still locked, which moves the reduce from the query path onto the
-// ingest path. CT keeps no cache; for it Warm does nothing.
-func (d *Driver) Warm() {
-	if w, ok := d.s.(interface{ Warm() }); ok {
-		w.Warm()
+// View returns a coreset of every point observed so far, built to be
+// published by a lane at the end of an ingest batch, while the lane is
+// still locked, so that queries union views instead of reducing. The
+// slice is freshly allocated and holds copies of the weights, so a later
+// in-place weight rescale of the structure leaves it unchanged.
+//
+// A CC structure contributes its PrefixView parts unreduced, so the
+// batch pays at most one reduce per new prefixsum key. An RCC structure
+// runs its coreset query if it gained a bucket since the last one, and
+// contributes the cached result. A CT structure contributes its union.
+// The partial bucket is appended in every case.
+func (d *Driver) View() []geom.Weighted {
+	cc, ok := d.s.(*CC)
+	if !ok {
+		if w, ok := d.s.(interface{ Warm() }); ok {
+			w.Warm()
+		}
+		return d.CoresetUnion()
 	}
+	parts := cc.PrefixView()
+	n := len(d.partial)
+	for _, b := range parts {
+		n += len(b.Points)
+	}
+	view := make([]geom.Weighted, 0, n)
+	for _, b := range parts {
+		view = append(view, b.Points...)
+	}
+	return append(view, d.partial...)
 }
 
 // Centers implements Clusterer: k-means++ on coreset ∪ partial bucket.

@@ -16,6 +16,15 @@
 // exceeds a threshold, the driver rescales every stored weight by a
 // constant factor (again cost-invariant), which touches each stored point
 // once per ~600/lambda arrivals — amortized O(1).
+//
+// Sharded runs P such lanes behind one arrival clock. Each batch ends, under
+// its lane's lock, by publishing the lane's view: the driver's View (for CC,
+// the cached coreset of the major prefix [1, major(N)] plus the tree buckets
+// after it and the partial bucket, unreduced) with the lane's reference time
+// and applied count. A refresh rescales the views to the newest reference
+// time and unions them without taking a lane lock and without reducing.
+// Views are built with their own copies of the weights, so a lane's later
+// in-place renormalization never changes one.
 package decay
 
 import (

@@ -111,13 +111,3 @@ func (s *Shard) AddBatchAt(t0, step float64, wps []geom.Weighted) {
 func (c *Clusterer) Shard(nextT float64) (*Shard, error) {
 	return NewShard(c.driver, c.lambda, nextT-math.Log(c.curW)/c.lambda)
 }
-
-// ScaledCoreset returns a copy of the shard's coreset with every weight
-// rescaled from the shard's reference time to globalRef (the merge
-// reference — the maximum refT across shards, so factors never exceed 1
-// and can never overflow). Entries whose weights underflow to zero are
-// dropped: they are more than ~1000 half-lives stale.
-func (s *Shard) ScaledCoreset(globalRef float64) []geom.Weighted {
-	factor := math.Exp(s.lambda * (s.refT - globalRef))
-	return geom.AppendScaled(nil, s.driver.CoresetUnion(), factor)
-}

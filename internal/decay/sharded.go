@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"streamkm/internal/core"
 	"streamkm/internal/geom"
@@ -26,8 +27,16 @@ import (
 // per-lane scalings, under which the k-means objective is invariant — so
 // the merged union is a coreset of the decayed stream by the same
 // Observation 1 argument as the stationary case.
+//
+// Each batch ends, under its lane's lock, by publishing the lane's view:
+// its driver's View (core.Driver.View, unreduced parts of CC's prefix
+// cache) with the lane's reference time and applied count. A query reads
+// the views without locks and without reducing; only a lane that has
+// none (fresh, restored, or fed a one-point batch since) is locked, to
+// publish one.
 type Sharded struct {
 	lanes  *parallel.Lanes[*Shard]
+	views  []atomic.Pointer[laneView] // per lane; nil until published
 	k      int
 	lambda float64
 
@@ -59,12 +68,49 @@ func NewSharded(p, k int, lambda float64, seed int64, queryOpt kmeans.Options,
 		}
 		shards[i] = sh
 	}
+	return newSharded(shards, k, lambda, seed, queryOpt)
+}
+
+func newSharded(shards []*Shard, k int, lambda float64, seed int64, queryOpt kmeans.Options) (*Sharded, error) {
 	lanes, err := parallel.NewLanes(shards)
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{lanes: lanes, k: k, lambda: lambda,
-		rng: rand.New(rand.NewSource(seed)), queryOpt: queryOpt}, nil
+	return &Sharded{lanes: lanes, views: make([]atomic.Pointer[laneView], len(shards)),
+		k: k, lambda: lambda, rng: rand.New(rand.NewSource(seed)), queryOpt: queryOpt}, nil
+}
+
+// laneView is one lane's published summary. It is never modified after
+// it is published: pts is freshly built with copies of the weights, so a
+// later renormalization of the lane (advanceRef) leaves it unchanged.
+type laneView struct {
+	refT  float64         // the lane's reference time when pts was built
+	pts   []geom.Weighted // the lane driver's View, weighted relative to refT
+	count int64           // arrivals the lane's driver had observed
+}
+
+// publish builds the lane's view and publishes it. Caller holds the
+// lane's lock.
+func (s *Sharded) publish(lane int, sh *Shard) *laneView {
+	v := &laneView{refT: sh.RefT(), pts: sh.Driver().View(), count: sh.Driver().Count()}
+	s.views[lane].Store(v)
+	return v
+}
+
+// apply runs add on the lane under its lock and publishes the lane's view
+// before the applied count advances. A one-point batch, the path weighted
+// points take, clears the view instead: the next gather builds it under
+// the lane lock, so point-by-point ingest does not maintain CC's prefix
+// cache at every bucket, as on concurrent lanes.
+func (s *Sharded) apply(lane int, wps []geom.Weighted, add func(sh *Shard)) {
+	s.lanes.Apply(lane, len(wps), func(sh *Shard) {
+		add(sh)
+		if len(wps) == 1 {
+			s.views[lane].Store(nil)
+		} else {
+			s.publish(lane, sh)
+		}
+	})
 }
 
 // NewShardedFromShards reassembles a Sharded around already-restored
@@ -83,15 +129,14 @@ func NewShardedFromShards(k int, lambda float64, seed int64, queryOpt kmeans.Opt
 			return nil, fmt.Errorf("decay: lane %d rate %v disagrees with stream rate %v", i, sh.lambda, lambda)
 		}
 	}
-	lanes, err := parallel.NewLanes(shards)
+	s, err := newSharded(shards, k, lambda, seed, queryOpt)
 	if err != nil {
 		return nil, err
 	}
-	if err := lanes.RestoreCursors(clock, rr, count); err != nil {
+	if err := s.lanes.RestoreCursors(clock, rr, count); err != nil {
 		return nil, err
 	}
-	return &Sharded{lanes: lanes, k: k, lambda: lambda,
-		rng: rand.New(rand.NewSource(seed)), queryOpt: queryOpt}, nil
+	return s, nil
 }
 
 // AddBatch observes a batch under arrival-count decay: the batch's
@@ -102,9 +147,7 @@ func (s *Sharded) AddBatch(wps []geom.Weighted) {
 		return
 	}
 	first, lane := s.lanes.Reserve(len(wps))
-	s.lanes.Apply(lane, len(wps), func(sh *Shard) {
-		sh.AddBatchAt(float64(first), 1, wps)
-	})
+	s.apply(lane, wps, func(sh *Shard) { sh.AddBatchAt(float64(first), 1, wps) })
 }
 
 // AddBatchWall observes a batch under wall-clock decay: every point in
@@ -116,37 +159,45 @@ func (s *Sharded) AddBatchWall(sec float64, wps []geom.Weighted) {
 		return
 	}
 	_, lane := s.lanes.Reserve(len(wps))
-	s.lanes.Apply(lane, len(wps), func(sh *Shard) {
-		sh.AddBatchAt(sec, 0, wps)
-	})
+	s.apply(lane, wps, func(sh *Shard) { sh.AddBatchAt(sec, 0, wps) })
 }
 
-// Coreset gathers every lane's coreset — each lane locked only while its
-// own summary is copied out — rescales them to the newest lane reference
-// time, and returns the union: a coreset of the decayed stream.
+// Coreset returns the union of the lane views rescaled to the newest
+// lane reference time: a coreset of the decayed stream. See Gather.
 func (s *Sharded) Coreset() []geom.Weighted {
-	type cut struct {
-		refT float64
-		cs   []geom.Weighted
-	}
-	cuts := make([]cut, s.lanes.NumLanes())
-	s.lanes.Each(func(i int, sh *Shard) {
-		// Copy under the lane lock at the shard's own reference; the
-		// cross-lane rescale happens outside any lock once the global
-		// reference is known.
-		cuts[i] = cut{refT: sh.RefT(), cs: sh.ScaledCoreset(sh.RefT())}
-	})
-	globalRef := math.Inf(-1)
-	for _, c := range cuts {
-		if c.refT > globalRef {
-			globalRef = c.refT
-		}
-	}
-	var union []geom.Weighted
-	for _, c := range cuts {
-		union = geom.AppendScaled(union, c.cs, math.Exp(s.lambda*(c.refT-globalRef)))
-	}
+	union, _ := s.Gather()
 	return union
+}
+
+// Gather returns the union of every lane's view, each rescaled from its
+// own reference time to the newest one (factors never exceed 1, so they
+// cannot overflow; entries whose weights underflow to zero, more than
+// ~1000 half-lives stale, are dropped), and the arrivals it covers, the
+// sum of the views' counts. Views are read without locks; a lane that
+// has none is locked only while it builds and publishes one.
+func (s *Sharded) Gather() ([]geom.Weighted, int64) {
+	views := make([]*laneView, len(s.views))
+	globalRef := math.Inf(-1)
+	size, count := 0, int64(0)
+	for i := range s.views {
+		v := s.views[i].Load()
+		if v == nil {
+			s.lanes.View(i, func(sh *Shard) {
+				if v = s.views[i].Load(); v == nil {
+					v = s.publish(i, sh)
+				}
+			})
+		}
+		views[i] = v
+		globalRef = math.Max(globalRef, v.refT)
+		size += len(v.pts)
+		count += v.count
+	}
+	union := make([]geom.Weighted, 0, size)
+	for _, v := range views {
+		union = geom.AppendScaled(union, v.pts, math.Exp(s.lambda*(v.refT-globalRef)))
+	}
+	return union, count
 }
 
 // CoresetCenters runs the query-time k-means++ over an already-merged

@@ -1,11 +1,13 @@
 package decay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"streamkm/internal/core"
 	"streamkm/internal/coreset"
@@ -253,5 +255,180 @@ func TestShardedName(t *testing.T) {
 	sh := newShardedT(t, 3, 0.01)
 	if name := sh.Name(); !strings.HasPrefix(name, "Decay[3x") {
 		t.Fatalf("Name() = %q", name)
+	}
+}
+
+// TestShardedGatherDoesNotWaitForLaneLocks: once every lane has
+// published a view, Coreset and Centers return while Quiesce holds every
+// lane lock.
+func TestShardedGatherDoesNotWaitForLaneLocks(t *testing.T) {
+	sh := newShardedT(t, 3, math.Ln2/300)
+	rng := rand.New(rand.NewSource(8))
+	for b := 0; b < 6; b++ {
+		pts := make([]geom.Point, 60)
+		for i := range pts {
+			pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		sh.AddBatch(unitBatch(pts))
+	}
+	err := sh.Quiesce(func([]*Shard, int64, int64, int64) error {
+		done := make(chan int)
+		go func() {
+			n := len(sh.Coreset())
+			sh.Centers()
+			done <- n
+		}()
+		select {
+		case n := <-done:
+			if n == 0 {
+				t.Error("gathered an empty union")
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("Coreset/Centers still blocked on the lane locks after 10s")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedGatherCoversCountUnderIngest races AddBatch and AddBatchWall
+// producers against gatherers: every gather covers at least the count
+// read before it, and a drained gather covers every arrival. Run with
+// -race -count=10.
+func TestShardedGatherCoversCountUnderIngest(t *testing.T) {
+	for _, wall := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wall=%v", wall), func(t *testing.T) {
+			sh := newShardedT(t, 3, math.Ln2/400)
+			const producers, batches, size = 3, 20, 23
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(30 + p)))
+					for b := 0; b < batches; b++ {
+						pts := make([]geom.Point, size)
+						for i := range pts {
+							pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
+						}
+						if wall {
+							sh.AddBatchWall(float64(b), unitBatch(pts))
+						} else {
+							sh.AddBatch(unitBatch(pts))
+						}
+					}
+				}(p)
+			}
+			stop := make(chan struct{})
+			var gathers sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				gathers.Add(1)
+				go func() {
+					defer gathers.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						n := sh.Count()
+						if _, count := sh.Gather(); count < n {
+							t.Errorf("gather covers %d arrivals after reading count %d", count, n)
+							return
+						}
+						sh.Centers()
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			gathers.Wait()
+			if _, count := sh.Gather(); count != producers*batches*size {
+				t.Fatalf("drained gather covers %d arrivals, want %d", count, producers*batches*size)
+			}
+		})
+	}
+}
+
+// TestPublishedViewSurvivesRenormalization: a lane's published view is
+// its own copy of the weights, so renormalizing the lane (advanceRef,
+// which rescales the tree, the coreset cache and the partial bucket in
+// place) leaves every bit of it unchanged.
+func TestPublishedViewSurvivesRenormalization(t *testing.T) {
+	sh := newShardedT(t, 1, 1)
+	rng := rand.New(rand.NewSource(9))
+	batch := func(n int) []geom.Weighted {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		return unitBatch(pts)
+	}
+	// 7 buckets of 25 plus 3 points: a cached prefix [1, 6], the tree's
+	// bucket at level 0 and a partial bucket.
+	sh.AddBatchWall(0, batch(7*25+3))
+	v := sh.views[0].Load()
+	if len(v.pts) != 25+25+3 {
+		t.Fatalf("view holds %d points, want 53", len(v.pts))
+	}
+	saved := make([]geom.Weighted, len(v.pts))
+	for i, wp := range v.pts {
+		saved[i] = geom.Weighted{P: append(geom.Point(nil), wp.P...), W: wp.W}
+	}
+	laneRef := func() (refT float64) {
+		sh.lanes.View(0, func(s *Shard) { refT = s.RefT() })
+		return refT
+	}
+	refT := laneRef()
+	sh.AddBatchWall(1e4, batch(2)) // lambda·Δt = 1e4: several rescale steps
+	if got := laneRef(); got == refT {
+		t.Fatalf("reference time stayed at %v: the lane did not renormalize", got)
+	}
+	if sh.views[0].Load() == v {
+		t.Fatal("the renormalizing batch did not publish a new view")
+	}
+	for i, wp := range v.pts {
+		if math.Float64bits(wp.W) != math.Float64bits(saved[i].W) {
+			t.Fatalf("point %d: published weight %v changed to %v", i, saved[i].W, wp.W)
+		}
+		for j := range wp.P {
+			if math.Float64bits(wp.P[j]) != math.Float64bits(saved[i].P[j]) {
+				t.Fatalf("point %d: published coordinate changed", i)
+			}
+		}
+	}
+}
+
+// TestOnePointBatchClearsView: a one-point batch (the path weighted
+// points take) clears its lane's view instead of publishing one, and the
+// next gather builds under the lane lock exactly the view a batch would
+// have published.
+func TestOnePointBatchClearsView(t *testing.T) {
+	sh := newShardedT(t, 1, math.Ln2/300)
+	rng := rand.New(rand.NewSource(10))
+	pts := make([]geom.Point, 7*25)
+	for i := range pts {
+		pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	sh.AddBatch(unitBatch(pts[:len(pts)-1]))
+	sh.AddBatch([]geom.Weighted{{P: pts[len(pts)-1], W: 2.5}}) // completes bucket 7
+	if sh.views[0].Load() != nil {
+		t.Fatal("a one-point batch published a view")
+	}
+	var want []geom.Weighted
+	sh.lanes.View(0, func(s *Shard) { want = s.Driver().View() })
+	got, count := sh.Gather()
+	if count != int64(len(pts)) || len(got) != len(want) {
+		t.Fatalf("gather of %d points covers %d arrivals, want %d points covering %d", len(got), count, len(want), len(pts))
+	}
+	for i := range got {
+		if math.Float64bits(got[i].W) != math.Float64bits(want[i].W) || !got[i].P.Equal(want[i].P) {
+			t.Fatalf("gathered point %d = %v, the lane's view has %v", i, got[i], want[i])
+		}
+	}
+	if sh.views[0].Load() == nil {
+		t.Fatal("the gather did not publish the view it built")
 	}
 }

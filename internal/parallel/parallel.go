@@ -11,8 +11,12 @@
 // Shards are independently locked, so P producer goroutines can feed their
 // shards concurrently with queries; there is no shared mutable state
 // between shards beyond the query-time union. A shard fed in batches
-// publishes an immutable view of its summary at the end of each batch, so
-// queries gather those shards without taking their locks.
+// publishes an immutable view of its summary at the end of each batch
+// (core.Driver.View: for CC, the cached coreset for the major prefix
+// [1, major(N)] plus the tree buckets after it and the partial bucket,
+// unreduced), so queries gather those shards without taking their locks
+// and without reducing. Each view records the points it covers, and a
+// gather returns their sum.
 package parallel
 
 import (
@@ -29,7 +33,8 @@ import (
 // Sharded is a streaming k-means clusterer over P parallel substreams.
 // Each shard owns one driver-based clusterer guarded by its own mutex.
 // Queries union the shard summaries, reading each shard's published view
-// without its lock, and locking only shards that have none.
+// without its lock, and locking only a shard that has none, to publish
+// one.
 type Sharded struct {
 	shards   []*shard
 	k        int
@@ -46,14 +51,26 @@ type shard struct {
 	mu  sync.Mutex
 	drv *core.Driver
 
-	// view is the driver's CoresetUnion as of the end of the shard's last
-	// AddBatchTo, or nil when the shard has none: fresh, restored, or fed
-	// a point since. It is written under mu and read without it. A view
-	// is never modified after it is published: concurrent shards never
-	// rescale weights, cached coreset buckets are never rewritten, and
-	// partial-bucket coordinates sit in driver-owned blocks that are
-	// never written again.
-	view atomic.Pointer[[]geom.Weighted]
+	// view is the shard's last published summary, or nil when it has
+	// none: fresh, restored, or fed a point since. It is written under mu
+	// and read without it.
+	view atomic.Pointer[laneView]
+}
+
+// laneView is one published shard summary. It is never modified after it
+// is published: its slice is freshly built with copies of the weights,
+// and the coordinates it shares sit in driver-owned blocks and coreset
+// buckets that are never written again.
+type laneView struct {
+	pts   []geom.Weighted // the driver's View
+	count int64           // points the driver had observed
+}
+
+// publish builds the shard's view and publishes it. Caller holds sh.mu.
+func (sh *shard) publish() *laneView {
+	v := &laneView{pts: sh.drv.View(), count: sh.drv.Count()}
+	sh.view.Store(v)
+	return v
 }
 
 // NewSharded builds a P-shard clusterer. newDriver is called once per
@@ -157,8 +174,8 @@ func (s *Sharded) AddTo(shardIdx int, p geom.Point) {
 }
 
 // AddWeightedTo feeds one weighted point to a specific shard. It clears
-// the shard's view before the global count advances, so queries gather
-// the shard under its lock until its next AddBatchTo.
+// the shard's view, so the next gather builds and publishes one under
+// the shard's lock.
 func (s *Sharded) AddWeightedTo(shardIdx int, wp geom.Weighted) {
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
@@ -172,19 +189,17 @@ func (s *Sharded) AddWeightedTo(shardIdx int, wp geom.Weighted) {
 // single lock acquisition — the ingest fast path for high-throughput
 // producers, amortizing the per-point lock cost over the batch.
 //
-// Before releasing the lock it warms the shard (core.Driver.Warm): a CC or
-// RCC shard that completed a bucket during the batch runs its coreset
-// query now, so its cache holds the coreset for every full bucket. It then
-// publishes the shard's CoresetUnion as the shard's view, which queries
-// read without the lock, so the reduce moves off the query path and a
-// query never waits for a batch in progress. The per-point add paths
-// leave the cache to the next query and clear the view.
+// Before releasing the lock it publishes the shard's view
+// (core.Driver.View), which queries read without the lock: a CC shard
+// caches the coreset for every key of prefixsum(N) it lacks and publishes
+// the major prefix plus the buckets after it unreduced, an RCC shard runs
+// its coreset query, so the reduce moves off the query path and a query
+// never waits for a batch in progress. The view records how many points
+// the shard's driver has observed. The per-point add paths clear the view.
 //
 // The global counter advances inside the shard critical section (here and
 // in the other add paths), so a Quiesce holding every shard lock observes
-// a count that exactly matches the points applied to the drivers. The
-// view is published before the counter advances, so a query that reads
-// the count first and then gathers sees every point that count includes.
+// a count that exactly matches the points applied to the drivers.
 func (s *Sharded) AddBatchTo(shardIdx int, wps []geom.Weighted) {
 	if len(wps) == 0 {
 		return
@@ -194,9 +209,7 @@ func (s *Sharded) AddBatchTo(shardIdx int, wps []geom.Weighted) {
 	for _, wp := range wps {
 		sh.drv.AddWeighted(wp)
 	}
-	sh.drv.Warm()
-	view := sh.drv.CoresetUnion()
-	sh.view.Store(&view)
+	sh.publish()
 	s.n.Add(int64(len(wps)))
 	sh.mu.Unlock()
 }
@@ -222,7 +235,12 @@ func (s *Sharded) NextShard() int {
 // (including partial buckets) and run k-means++ once. Safe for concurrent
 // use with AddTo.
 func (s *Sharded) Centers() []geom.Point {
-	union := s.CoresetUnion()
+	return s.CoresetCenters(s.CoresetUnion())
+}
+
+// CoresetCenters runs the query-time k-means++ over an already-gathered
+// union (as returned by Gather or CoresetUnion).
+func (s *Sharded) CoresetCenters(union []geom.Weighted) []geom.Point {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	centers, _ := kmeans.Run(s.rng, union, s.k, s.queryOpt)
@@ -230,21 +248,38 @@ func (s *Sharded) Centers() []geom.Point {
 }
 
 // CoresetUnion returns the union of all shard summaries — itself a coreset
-// of the full multi-stream (Observation 1). A shard with a published view
-// contributes it without being locked; any other shard is locked only
-// while its own summary is gathered.
+// of the full multi-stream (Observation 1); see Gather.
 func (s *Sharded) CoresetUnion() []geom.Weighted {
-	var union []geom.Weighted
-	for _, sh := range s.shards {
-		if v := sh.view.Load(); v != nil {
-			union = append(union, *v...)
-			continue
-		}
-		sh.mu.Lock()
-		union = append(union, sh.drv.CoresetUnion()...)
-		sh.mu.Unlock()
-	}
+	union, _ := s.Gather()
 	return union
+}
+
+// Gather returns the union of all shard views and the number of points
+// it covers, the sum of the views' counts. A shard with a published view
+// contributes it without being locked; a shard without one is locked only
+// while its view is built and published, so every gather reads one
+// composition. The union is freshly allocated.
+func (s *Sharded) Gather() ([]geom.Weighted, int64) {
+	views := make([]*laneView, len(s.shards))
+	size, count := 0, int64(0)
+	for i, sh := range s.shards {
+		v := sh.view.Load()
+		if v == nil {
+			sh.mu.Lock()
+			if v = sh.view.Load(); v == nil {
+				v = sh.publish()
+			}
+			sh.mu.Unlock()
+		}
+		views[i] = v
+		size += len(v.pts)
+		count += v.count
+	}
+	union := make([]geom.Weighted, 0, size)
+	for _, v := range views {
+		union = append(union, v.pts...)
+	}
+	return union, count
 }
 
 // PointsStored sums shard memory in points.

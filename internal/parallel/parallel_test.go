@@ -286,14 +286,14 @@ func gaussianBatch(rng *rand.Rand, n int, w float64) []geom.Weighted {
 	return wps
 }
 
-// lockedUnion gathers every lane's CoresetUnion under Quiesce: the exact
+// lockedUnion gathers every lane's driver View under Quiesce: the exact
 // union the published views must reproduce.
 func lockedUnion(t *testing.T, s *Sharded) []geom.Weighted {
 	t.Helper()
 	var union []geom.Weighted
 	if err := s.Quiesce(func(drvs []*core.Driver, _, _ int64) error {
 		for _, d := range drvs {
-			union = append(union, d.CoresetUnion()...)
+			union = append(union, d.View()...)
 		}
 		return nil
 	}); err != nil {
@@ -320,10 +320,10 @@ func sameBits(a, b []geom.Weighted) bool {
 }
 
 // TestAddBatchToPublishesLanesUnion: a batch ends by publishing its lane's
-// union, so CoresetUnion after AddBatchTo equals the union gathered under
-// the lane locks bit for bit and runs no query on any lane (CCStats stay
-// unchanged) — for CC, RCC and CT lanes alike. A point fed with
-// AddWeightedTo withdraws its lane's view until the lane's next batch.
+// driver View, so CoresetUnion after AddBatchTo equals the views gathered
+// under the lane locks bit for bit and runs no query on any lane (CCStats
+// stay unchanged) — for CC, RCC and CT lanes alike. A point fed with
+// AddWeightedTo withdraws its lane's view; the next gather rebuilds it.
 func TestAddBatchToPublishesLanesUnion(t *testing.T) {
 	const k, m = 3, 20
 	for _, algo := range []string{"CC", "RCC", "CT"} {

@@ -50,7 +50,12 @@ func goldenDecayedSharded(t testing.TB) *decay.Sharded {
 }
 
 func goldenDecayedShardedEnvelope(t testing.TB) Envelope {
-	sh := goldenDecayedSharded(t)
+	return decayedShardedEnvelope(t, goldenDecayedSharded(t))
+}
+
+// decayedShardedEnvelope snapshots a forward-decay pipeline of CC lanes
+// the way the decayed serving backend does.
+func decayedShardedEnvelope(t testing.TB, sh *decay.Sharded) Envelope {
 	var bs *BackendSnapshot
 	err := sh.Quiesce(func(shards []*decay.Shard, clock, rr, count int64) error {
 		sss, dim, err := SnapshotDecayedShards(shards)
@@ -177,9 +182,12 @@ func TestGoldenShardedSnapshots(t *testing.T) {
 		if sh.Count() != 700 || bs.Count != 700 {
 			t.Errorf("restored count %d / meta %d, want 700", sh.Count(), bs.Count)
 		}
-		want := goldenDecayedSharded(t)
-		if sh.PointsStored() != want.PointsStored() {
-			t.Errorf("restored memory %d, want %d", sh.PointsStored(), want.PointsStored())
+		stored := 0
+		for _, ss := range bs.DecayedShards {
+			stored += ccLanePoints(t, ss.Inner)
+		}
+		if sh.PointsStored() != stored {
+			t.Errorf("restored memory %d, want the fixture's %d", sh.PointsStored(), stored)
 		}
 		if got := len(sh.Centers()); got != 3 {
 			t.Errorf("%d centers, want 3", got)
@@ -252,6 +260,69 @@ func TestGoldenShardedSnapshots(t *testing.T) {
 			t.Errorf("PeekBackend = %+v, want windowed/3 lanes/400/900", meta)
 		}
 	})
+}
+
+// ccLanePoints counts the points a CC lane's envelope stores: tree
+// buckets, cached coresets and the partial bucket.
+func ccLanePoints(t *testing.T, env Envelope) int {
+	t.Helper()
+	if env.Kind != KindCC || env.Driver == nil || env.CC == nil {
+		t.Fatalf("lane envelope of kind %q is not a driver-wrapped CC", env.Kind)
+	}
+	n := len(env.Driver.Partial)
+	for _, level := range env.CC.Tree.Levels {
+		for _, b := range level {
+			n += len(b.Points)
+		}
+	}
+	for _, b := range env.CC.Cache {
+		n += len(b.Points)
+	}
+	return n
+}
+
+// TestDecayedShardedRoundTrip: the current pipeline's snapshot restores
+// to the same memory, and the restored pipeline publishes the same next
+// view bit for bit — a batch that completes no bucket reduces nothing,
+// and every other lane's view is rebuilt from the restored caches.
+func TestDecayedShardedRoundTrip(t *testing.T) {
+	orig := goldenDecayedSharded(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, decayedShardedEnvelope(t, orig)); err != nil {
+		t.Fatal(err)
+	}
+	env, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := env.Backend
+	// The pipeline's own rate: ln 2 over the stored half-life can differ
+	// from it in the last bit.
+	lanes, err := RestoreDecayedShards(bs.DecayedShards, orig.Lambda(), 21, coreset.KMeansPP{}, kmeans.FastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := decay.NewShardedFromShards(bs.K, orig.Lambda(), 21, kmeans.FastOptions(),
+		lanes, bs.Clock, bs.RR, bs.Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.PointsStored(), orig.PointsStored(); got != want {
+		t.Fatalf("restored memory %d, want %d", got, want)
+	}
+	next := goldenStream(5)
+	orig.AddBatch(next)
+	restored.AddBatch(next)
+	got, gotCount := restored.Gather()
+	want, wantCount := orig.Gather()
+	if gotCount != wantCount || gotCount != 705 || len(got) != len(want) {
+		t.Fatalf("restored view: %d points covering %d, want %d covering %d (705 arrivals)", len(got), gotCount, len(want), wantCount)
+	}
+	for i := range got {
+		if math.Float64bits(got[i].W) != math.Float64bits(want[i].W) || !got[i].P.Equal(want[i].P) {
+			t.Fatalf("restored view differs at point %d: %v vs %v", i, got[i], want[i])
+		}
+	}
 }
 
 // TestValidateShardedBackendRejectsCorruption: every corruption class a

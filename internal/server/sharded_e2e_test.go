@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,7 +158,9 @@ func TestShardedDifferentialEquivalence(t *testing.T) {
 // TestShardedVsSingleLaneCost replays the same sequence into a 4-lane
 // and a 1-lane daemon: counts must agree exactly and the sharded
 // clustering cost must stay within 1.5x of the single-lane reference
-// (the coreset-union guarantee, measured end to end).
+// (the coreset-union guarantee, measured end to end). Each side's cost is
+// the median over 9 forced refreshes, so one unlucky k-means++ draw on
+// either daemon does not decide the comparison.
 func TestShardedVsSingleLaneCost(t *testing.T) {
 	multi := httptest.NewServer(NewMulti(shardedRegistry(t, registry.Config{}, 4), MultiConfig{MaxBatch: 64}).Handler())
 	defer multi.Close()
@@ -192,19 +195,17 @@ func TestShardedVsSingleLaneCost(t *testing.T) {
 				postWire(t, multi.URL+"/streams/"+id+"/ingest", true, pts[off:end], nil)
 				postWire(t, single.URL+"/streams/"+id+"/ingest", true, pts[off:end], nil)
 			}
-			countM, centersM := fetchCenters(t, multi.URL+"/streams/"+id+"/centers")
-			countS, centersS := fetchCenters(t, single.URL+"/streams/"+id+"/centers")
-			if countM != countS || countM != int64(len(pts)) {
-				t.Fatalf("counts diverge: sharded %d, single %d, replayed %d", countM, countS, len(pts))
-			}
 			// Cost the tail the windowed variant still covers; the decayed
 			// variant's recency weighting only narrows the measured gap.
 			ref := pts
 			if sp.name == "windowed" {
 				ref = pts[len(pts)-600:]
 			}
-			costM := clusteringCost(ref, centersM)
-			costS := clusteringCost(ref, centersS)
+			countM, costM := medianRefreshCost(t, multi.URL+"/streams/"+id+"/centers", ref)
+			countS, costS := medianRefreshCost(t, single.URL+"/streams/"+id+"/centers", ref)
+			if countM != countS || countM != int64(len(pts)) {
+				t.Fatalf("counts diverge: sharded %d, single %d, replayed %d", countM, countS, len(pts))
+			}
 			if costM > 1.5*costS {
 				t.Fatalf("sharded cost %v exceeds 1.5x single-lane cost %v", costM, costS)
 			}
@@ -213,6 +214,22 @@ func TestShardedVsSingleLaneCost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// medianRefreshCost forces 9 refreshes of a stream's centers and returns
+// the count they report with the median clustering cost of ref under
+// them.
+func medianRefreshCost(t *testing.T, url string, ref [][]float64) (int64, float64) {
+	t.Helper()
+	costs := make([]float64, 9)
+	var count int64
+	for i := range costs {
+		var centers [][]float64
+		count, centers = fetchCenters(t, url)
+		costs[i] = clusteringCost(ref, centers)
+	}
+	sort.Float64s(costs)
+	return count, costs[len(costs)/2]
 }
 
 // TestShardedIngestDetachQuiesce races concurrent producers against a

@@ -432,3 +432,61 @@ func TestOnePointBatchClearsView(t *testing.T) {
 		t.Fatal("the gather did not publish the view it built")
 	}
 }
+
+// countingBuilder is coreset.KMeansPP counting its builds and the points
+// they reduced.
+type countingBuilder struct{ builds, points int }
+
+func (b *countingBuilder) Name() string { return coreset.KMeansPP{}.Name() }
+
+func (b *countingBuilder) Build(rng *rand.Rand, pts []geom.Weighted, m int) []geom.Weighted {
+	b.builds++
+	b.points += len(pts)
+	return coreset.KMeansPP{}.Build(rng, pts, m)
+}
+
+// TestBatchWorkIgnoresGathers: what a batch costs its lane does not
+// depend on the queries served in between. Two pipelines with the same
+// seed take the same batches; one is gathered and queried after every
+// batch, the other only at the end. After every batch their builders
+// have made the same builds over the same points, and at the end their
+// unions agree bit for bit, so a refresh neither reduces on a lane nor
+// leaves a lane a different cache for the next batch to build on.
+func TestBatchWorkIgnoresGathers(t *testing.T) {
+	const k, m, lanes = 3, 20, 2
+	pipeline := func(b *countingBuilder) *Sharded {
+		sh, err := NewSharded(lanes, k, math.Ln2/300, 1, kmeans.FastOptions(), func(_ int, seed int64) *core.Driver {
+			rng := rand.New(rand.NewSource(seed))
+			return core.NewDriver(core.NewCC(2, m, b, rng), k, m, rng, kmeans.FastOptions())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
+	}
+	var quietB, busyB countingBuilder
+	quiet, busy := pipeline(&quietB), pipeline(&busyB)
+	rng := rand.New(rand.NewSource(12))
+	for b := 0; b < 80; b++ {
+		pts := make([]geom.Point, 2+rng.Intn(5*m)) // completes 0 to 5 buckets
+		for i := range pts {
+			pts[i] = geom.Point{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		quiet.AddBatch(unitBatch(pts))
+		busy.AddBatch(unitBatch(pts))
+		busy.Coreset()
+		busy.Centers()
+		if quietB != busyB {
+			t.Fatalf("batch %d: %+v builds without gathers, %+v with them", b, quietB, busyB)
+		}
+	}
+	if got, want := busy.Coreset(), quiet.Coreset(); len(got) != len(want) {
+		t.Fatalf("unions of %d and %d points", len(got), len(want))
+	} else {
+		for i := range got {
+			if math.Float64bits(got[i].W) != math.Float64bits(want[i].W) || !got[i].P.Equal(want[i].P) {
+				t.Fatalf("point %d: %v with gathers, %v without", i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -357,7 +357,7 @@ func SnapshotDecayed(dc *decay.Clusterer) (*DecayedSnapshot, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return &DecayedSnapshot{State: dc.State(), Inner: inner}, driverDim(dc.Driver()), nil
+	return &DecayedSnapshot{State: dc.State(), Inner: inner}, envelopeDim(inner), nil
 }
 
 // RestoreDecayed reconstructs a live decay.Clusterer from its payload.
@@ -396,7 +396,7 @@ func SnapshotDecayedShards(shards []*decay.Shard) ([]DecayedShardSnapshot, int, 
 		}
 		out[i] = DecayedShardSnapshot{RefT: sh.RefT(), Inner: inner}
 		if dim == 0 {
-			dim = driverDim(sh.Driver())
+			dim = envelopeDim(inner)
 		}
 	}
 	return out, dim, nil

@@ -6,6 +6,7 @@ import (
 
 	"streamkm/internal/core"
 	"streamkm/internal/coreset"
+	"streamkm/internal/coretree"
 	"streamkm/internal/kmeans"
 	"streamkm/internal/parallel"
 )
@@ -55,7 +56,7 @@ func SnapshotSharded(s *parallel.Sharded) (Envelope, error) {
 			}
 			snap.Shards[i] = se
 			if snap.Dim == 0 {
-				snap.Dim = driverDim(drv)
+				snap.Dim = envelopeDim(se)
 			}
 		}
 		return nil
@@ -66,15 +67,29 @@ func SnapshotSharded(s *parallel.Sharded) (Envelope, error) {
 	return Envelope{Kind: KindSharded, Sharded: snap}, nil
 }
 
-// driverDim probes the dimension of the points a driver stores (0 when it
-// stores none). Called under quiesce; the partial bucket is aliased, not
-// copied.
-func driverDim(d *core.Driver) int {
-	if p := d.Partial(); len(p) > 0 {
-		return len(p[0].P)
+// envelopeDim reads the dimension of the points a captured driver
+// envelope stores (0 when it stores none) from the captured state
+// itself. Probing the live driver instead would run a CC or RCC query,
+// whose cached prefix would change the lane after its state was taken.
+func envelopeDim(env Envelope) int {
+	if env.Driver != nil && len(env.Driver.Partial) > 0 {
+		return len(env.Driver.Partial[0].P)
 	}
-	if cs := d.Structure().Coreset(); len(cs) > 0 {
-		return len(cs[0].P)
+	var levels [][]coretree.Bucket
+	switch {
+	case env.CT != nil:
+		levels = env.CT.Levels
+	case env.CC != nil:
+		levels = env.CC.Tree.Levels
+	case env.RCC != nil:
+		levels = env.RCC.Root.Lists // the root lists hold every bucket
+	}
+	for _, level := range levels {
+		for _, b := range level {
+			if len(b.Points) > 0 {
+				return len(b.Points[0].P)
+			}
+		}
 	}
 	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"streamkm/internal/core"
@@ -13,6 +14,7 @@ import (
 	"streamkm/internal/decay"
 	"streamkm/internal/geom"
 	"streamkm/internal/kmeans"
+	"streamkm/internal/parallel"
 	"streamkm/internal/window"
 )
 
@@ -74,6 +76,102 @@ func decayedShardedEnvelope(t testing.TB, sh *decay.Sharded) Envelope {
 		t.Fatal(err)
 	}
 	return Envelope{Kind: KindBackend, Backend: bs}
+}
+
+// ccLane is the part of a CC lane's state a snapshot must not change.
+type ccLane struct {
+	stats  core.CCStats
+	keys   []int
+	stored int
+}
+
+func ccLaneOf(d *core.Driver) ccLane {
+	cc := d.Structure().(*core.CC)
+	return ccLane{stats: cc.Stats(), keys: cc.CacheKeys(), stored: d.PointsStored()}
+}
+
+// TestSnapshotLeavesLanesUnchanged: taking a snapshot leaves each live
+// lane exactly as it was, and the restored lane stores what the live one
+// does. The lanes hold seven full buckets and an empty partial bucket,
+// the state in which reading the point dimension off a live CC lane ran
+// a coreset query that cached [1, N] after the lane had been captured.
+func TestSnapshotLeavesLanesUnchanged(t *testing.T) {
+	const m = 20
+	stream := goldenStream(7 * m)
+	compare := func(t *testing.T, before []ccLane, live, restored []*core.Driver) {
+		t.Helper()
+		for i, d := range live {
+			if got := ccLaneOf(d); !reflect.DeepEqual(got, before[i]) {
+				t.Errorf("lane %d changed across the snapshot: %+v -> %+v", i, before[i], got)
+			}
+			if got, want := restored[i].PointsStored(), d.PointsStored(); got != want {
+				t.Errorf("lane %d: restored stores %d points, live lane %d", i, got, want)
+			}
+		}
+	}
+
+	t.Run("Sharded", func(t *testing.T) {
+		s, err := parallel.NewSharded(1, 3, 5, kmeans.FastOptions(), ccDriverFactory(3, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(stream); off += m {
+			s.AddBatchTo(0, stream[off:off+m])
+		}
+		lanes := func(s *parallel.Sharded) (drvs []*core.Driver) {
+			s.Quiesce(func(d []*core.Driver, _, _ int64) error { drvs = d; return nil })
+			return drvs
+		}
+		live := lanes(s)
+		var before []ccLane
+		for _, d := range live {
+			before = append(before, ccLaneOf(d))
+		}
+		env, err := SnapshotSharded(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Sharded.Dim != 2 {
+			t.Errorf("snapshot dim %d, want 2", env.Sharded.Dim)
+		}
+		restored, err := RestoreSharded(env, 1, coreset.KMeansPP{}, kmeans.FastOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, before, live, lanes(restored))
+	})
+
+	t.Run("Decayed", func(t *testing.T) {
+		sh, err := decay.NewSharded(1, 3, 0.001, 21, kmeans.FastOptions(), ccDriverFactory(3, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(stream); off += m {
+			sh.AddBatch(stream[off : off+m])
+		}
+		var live []*core.Driver
+		var before []ccLane
+		sh.Quiesce(func(shards []*decay.Shard, _, _, _ int64) error {
+			for _, s := range shards {
+				live = append(live, s.Driver())
+				before = append(before, ccLaneOf(s.Driver()))
+			}
+			return nil
+		})
+		env := decayedShardedEnvelope(t, sh)
+		if env.Backend.Dim != 2 {
+			t.Errorf("snapshot dim %d, want 2", env.Backend.Dim)
+		}
+		shards, err := RestoreDecayedShards(env.Backend.DecayedShards, 0.001, 1, coreset.KMeansPP{}, kmeans.FastOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var restored []*core.Driver
+		for _, s := range shards {
+			restored = append(restored, s.Driver())
+		}
+		compare(t, before, live, restored)
+	})
 }
 
 // goldenWindowedSharded feeds the golden stream through a 3-lane

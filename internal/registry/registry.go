@@ -7,7 +7,8 @@
 // Each stream owns one clustering backend (in the shipped daemon any
 // streamkm backend variant — concurrent, decayed or windowed, all with
 // sharded ingest lanes; backends reporting a lane count through the
-// Sharder interface surface it in Info and /stats). The registry
+// Sharder interface, or centers-cache counters through CacheStater,
+// surface them in Info and /stats). The registry
 // bounds how many are resident at
 // once: past MaxResident — or past an idle TTL — the least-recently-used
 // stream is hibernated, i.e. checkpointed to its per-stream snapshot
@@ -235,6 +236,10 @@ var (
 	ErrInvalidConfig = errors.New("registry: invalid stream config")
 	ErrDetached      = errors.New("registry: stream detached for migration")
 	ErrThrottled     = errors.New("registry: request throttled")
+	// ErrNoSnapshotPath reports a stream with nowhere to persist: the
+	// registry runs without a data directory and the stream has no
+	// explicit file.
+	ErrNoSnapshotPath = errors.New("registry: stream has no snapshot path")
 )
 
 // DetachedError reports a request against a stream frozen for migration
@@ -1156,7 +1161,7 @@ func (r *Registry) checkpointStream(e *Stream, onlyDirty bool) (int64, error) {
 		return 0, fmt.Errorf("registry: backend %s cannot snapshot", b.Name())
 	}
 	if e.path == "" {
-		return 0, fmt.Errorf("registry: stream %q has no snapshot path", e.id)
+		return 0, fmt.Errorf("%w: %q", ErrNoSnapshotPath, e.id)
 	}
 	n, err := persist.WriteFileAtomic(e.path, sn.Snapshot)
 	if err != nil {
@@ -1210,7 +1215,7 @@ func (r *Registry) Snapshot(id string, w io.Writer) error {
 		return sn.Snapshot(w)
 	}
 	if e.path == "" {
-		return fmt.Errorf("registry: stream %q has no snapshot path", e.id)
+		return fmt.Errorf("%w: %q", ErrNoSnapshotPath, e.id)
 	}
 	f, err := os.Open(e.path)
 	if err != nil {
@@ -1241,6 +1246,9 @@ type Info struct {
 	Count        int64   `json:"count"`
 	PointsStored int     `json:"points_stored"`
 	LastAccess   int64   `json:"last_access_unix"`
+	// CentersCache is the backend's centers-cache counters, reported
+	// while the stream is resident and its backend keeps them.
+	CentersCache *CacheCounts `json:"centers_cache,omitempty"`
 }
 
 // Stat describes one stream without changing its residency; statting a

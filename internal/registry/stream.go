@@ -123,6 +123,10 @@ func (e *Stream) info() Info {
 		if s, ok := b.(Sharder); ok {
 			in.Shards = s.NumShards()
 		}
+		if cs, ok := b.(CacheStater); ok {
+			hits, misses := cs.CacheStats()
+			in.CentersCache = &CacheCounts{Hits: hits, Misses: misses}
+		}
 	}
 	return in
 }
@@ -131,4 +135,16 @@ func (e *Stream) info() Info {
 // lanes; Info reports the lane count for resident streams.
 type Sharder interface {
 	NumShards() int
+}
+
+// CacheStater is optionally implemented by backends with a centers
+// cache; Info reports its hit and miss counters for resident streams.
+type CacheStater interface {
+	CacheStats() (hits, misses int64)
+}
+
+// CacheCounts is a centers cache's hit and miss counters.
+type CacheCounts struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }

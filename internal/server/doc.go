@@ -6,20 +6,20 @@
 //
 // # Architecture
 //
-// Two servers share one handler toolkit. Server hosts a single backend
-// behind the original endpoint set. Multi hosts many independent named
-// streams behind /streams/{id}/..., routing every request through an
-// internal/registry.Registry: streams are created lazily on first
-// ingest (or explicitly via PUT), at most MaxResident of them hold a
-// live backend at once, and the least-recently-used beyond that bound —
-// or idle past a TTL — is hibernated: checkpointed to its per-stream
-// snapshot file and dropped from RAM, then restored transparently on
-// its next request. Per-stream state is a coreset, polylogarithmic in
-// the stream, so tenant density is the point: thousands of streams fit
-// one daemon, and cold ones cost nothing.
+// Multi hosts many independent named streams behind /streams/{id}/...,
+// routing every request through an internal/registry.Registry: streams
+// are created lazily on first ingest (or explicitly via PUT), at most
+// MaxResident of them hold a live backend at once, and the
+// least-recently-used beyond that bound — or idle past a TTL — is
+// hibernated: checkpointed to its per-stream snapshot file and dropped
+// from RAM, then restored transparently on its next request. Per-stream
+// state is a coreset, polylogarithmic in the stream, so tenant density
+// is the point: thousands of streams fit one daemon, and cold ones cost
+// nothing. A single-stream deployment is a Multi with one stream: the
+// root aliases below serve its default stream.
 //
-// Both servers are algorithm-agnostic: they serve anything satisfying
-// the small Clusterer interface ([][]float64 in, [][]float64 out). The
+// Multi is algorithm-agnostic: it serves anything satisfying the small
+// Clusterer interface ([][]float64 in, [][]float64 out). The
 // shipped daemon (cmd/streamkmd) wires the registry to the
 // streamkm.Open/Restore backend factory, so each tenant picks its own
 // variant in the PUT body: "concurrent" (every point counts forever —
@@ -50,11 +50,14 @@
 //	                               restores a hibernated stream lazily.
 //	GET    /streams/{id}/stats     per-stream facts (count, residency,
 //	                               memory, backend spec incl. half_life /
-//	                               half_life_seconds / window_n / shards);
-//	                               never warms a cold stream.
+//	                               half_life_seconds / window_n / shards,
+//	                               and the centers_cache hit/miss
+//	                               counters while resident); never warms
+//	                               a cold stream.
 //	GET    /streams/{id}/snapshot  the stream's serialized state; served
 //	                               from its file when hibernated.
-//	POST   /streams/{id}/snapshot  checkpoint the stream to its file.
+//	POST   /streams/{id}/snapshot  checkpoint the stream to its file; 400
+//	                               when it has none (no data directory).
 //	PUT    /streams/{id}/snapshot  install the stream from the snapshot
 //	                               envelope in the body and restore it
 //	                               immediately — the receiving half of a
@@ -117,16 +120,17 @@
 //	                               (streamkm_registry_events_total,
 //	                               including throttle and shed).
 //	                               Dependency-free: written and parsed by
-//	                               internal/metrics. The single-stream
-//	                               Server and the router serve the same
-//	                               route (the router with
+//	                               internal/metrics. The router serves
+//	                               the same route, with
 //	                               streamkm_router_* families instead of
-//	                               tenant series).
+//	                               tenant series.
 //	GET    /healthz                liveness probe.
 //
 // The pre-registry single-stream endpoints (POST /ingest, GET /centers,
 // GET/POST /snapshot) remain mounted as aliases for a configurable
-// default stream, so existing clients work unchanged.
+// default stream, so existing clients work unchanged. An alias runs the
+// same handler as its /streams/{default}/... twin: same answer, same
+// endpoint counters, same per-tenant series.
 //
 // The detach/install/reattach trio is the daemon half of horizontal
 // sharding: cmd/streamkm-router (internal/ring) consistent-hashes
@@ -165,7 +169,7 @@
 //
 // # Ingest wire formats
 //
-// Both ingest endpoints negotiate on Content-Type.
+// Every ingest route negotiates on Content-Type.
 // application/x-streamkm-batch selects the binary columnar format
 // (internal/wire): a 16-byte versioned header — magic "SKMB", version,
 // a weights flag, uint32 little-endian dim and count — followed by a
@@ -173,12 +177,11 @@
 // weights block. Any other content type is treated as ndjson, the
 // compatibility path.
 //
-// Both servers buffer the (byte-capped) body and decode it in full
-// before touching the backend — the Multi server before entering the
-// registry — so a stream's lock covers only the apply. ndjson decoding
-// is one pass: canonical records ('[' number (',' number)* ']') are
-// scanned by hand, checking JSON's number grammar before
-// strconv.ParseFloat, into one coordinate block per request; any other
+// Multi buffers the (byte-capped) body and decodes it in full before
+// entering the registry, so a stream's lock covers only the apply.
+// ndjson decoding is one pass: canonical records ('[' number (','
+// number)* ']') are scanned by hand, checking JSON's number grammar
+// before strconv.ParseFloat, into one coordinate block per request; any other
 // record (an object, null, a non-number, a syntax or range error, the
 // record at the point cap) is decoded by encoding/json and parsePoint,
 // so every status, message and applied count matches a
@@ -201,10 +204,10 @@
 // The binary path is also the fast one: one decode pass over fixed-width
 // floats, one coordinate allocation per request however many points,
 // with per-point slice headers recycled through a wire.BufferPool (the
-// request body buffer is pooled for both wires; the Multi server shares
-// one pool registry-wide via Registry.Buffers). BenchmarkIngestWire
-// measures the difference against the same backend, on a synthetic body
-// and on the Covtype-shaped body perfbench's routed workload sends.
+// request body buffer is pooled for both wires, one pool registry-wide
+// via Registry.Buffers). BenchmarkIngestWire measures the difference
+// against the same backend, on a synthetic body and on the
+// Covtype-shaped body perfbench's routed workload sends.
 //
 // # Durability
 //
@@ -228,7 +231,7 @@
 //
 // # Tracing and slow-request logging
 //
-// Every request to either server runs inside an internal/trace span.
+// Every request runs inside an internal/trace span.
 // The traceparent contract is W3C trace context: a request carrying a
 // valid traceparent header (00-<32 hex trace id>-<16 hex parent span
 // id>-<2 hex flags>, lowercase) joins that trace as a child span; a

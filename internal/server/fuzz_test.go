@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"streamkm/internal/registry"
 	"streamkm/internal/wire"
 )
 
@@ -25,6 +26,18 @@ func (s *sinkClusterer) Centers() [][]float64               { return [][]float64
 func (s *sinkClusterer) Count() int64                       { return s.count.Load() }
 func (s *sinkClusterer) PointsStored() int                  { return 0 }
 func (s *sinkClusterer) Name() string                       { return "sink" }
+
+// sinkServer is a one-stream Multi over sink whose default stream, with
+// configuration def, exists before the first request, so every input
+// reaches the stream's apply path. The fuzz targets build it once and
+// feed it every input.
+func sinkServer(tb testing.TB, def registry.StreamConfig, sink *sinkClusterer) *Multi {
+	m := NewMulti(singleStreamRegistry(tb, registry.Config{Default: def}, sink, nil), MultiConfig{MaxBatch: 8})
+	if err := m.Registry().Create("default", registry.StreamConfig{}); err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 // ingestSeeds is the ndjson seed corpus FuzzIngest and
 // FuzzNDJSONMatchesReference share.
@@ -54,8 +67,8 @@ func FuzzIngest(f *testing.F) {
 	for _, seed := range ingestSeeds {
 		f.Add([]byte(seed))
 	}
+	srv := sinkServer(f, registry.StreamConfig{K: 2}, &sinkClusterer{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := New(&sinkClusterer{}, Config{K: 2, MaxBatch: 8})
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data))
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req) // must not panic
@@ -101,9 +114,10 @@ func FuzzBinaryBatch(f *testing.F) {
 	badmagic[0] = 'X'
 	f.Add(badmagic)
 
+	sink := &sinkClusterer{}
+	srv := sinkServer(f, registry.StreamConfig{K: 2, Dim: 2}, sink)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sink := &sinkClusterer{}
-		srv := New(sink, Config{K: 2, Dim: 2, MaxBatch: 8})
+		before := sink.Count()
 		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(data))
 		req.Header.Set("Content-Type", wire.ContentType)
 		rec := httptest.NewRecorder()
@@ -111,7 +125,7 @@ func FuzzBinaryBatch(f *testing.F) {
 		switch c := rec.Code; {
 		case c == http.StatusOK:
 		case c >= 400 && c <= 499:
-			if n := sink.count.Load(); n != 0 {
+			if n := sink.Count() - before; n != 0 {
 				t.Fatalf("status %d but %d points ingested from %q (binary ingest must be all-or-nothing)", c, n, data)
 			}
 		default:

@@ -2,30 +2,17 @@ package server
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"streamkm"
+	"streamkm/internal/registry"
 )
 
-// The single-stream server enforces the same ingest request caps as the
-// multi-tenant one (they share decodeIngest); these tests pin the 413
-// behavior on the legacy surface.
-
-func newLimitedServer(t *testing.T, cfg Config) *httptest.Server {
-	t.Helper()
-	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: 3, BucketSize: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.K = 3
-	ts := httptest.NewServer(New(c, cfg).Handler())
-	t.Cleanup(ts.Close)
-	return ts
-}
+// The ingest request caps on the default stream's alias route, POST
+// /ingest; TestMultiIngestBodyLimit413 and TestMultiIngestPointLimit413
+// pin the same 413s on /streams/{id}/ingest.
 
 func TestIngestBodyLimit413(t *testing.T) {
-	ts := newLimitedServer(t, Config{MaxBodyBytes: 64})
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{MaxBodyBytes: 64})
 	resp, m := postIngest(t, ts, ndjson(100, 2, 1))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status %d, want 413 (%v)", resp.StatusCode, m)
@@ -38,7 +25,7 @@ func TestIngestBodyLimit413(t *testing.T) {
 }
 
 func TestIngestPointLimit413(t *testing.T) {
-	ts := newLimitedServer(t, Config{MaxPoints: 8, MaxBatch: 4})
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{MaxPoints: 8, MaxBatch: 4})
 	resp, m := postIngest(t, ts, ndjson(40, 2, 1))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("too-many-points status %d, want 413 (%v)", resp.StatusCode, m)
@@ -53,7 +40,7 @@ func TestIngestErrorBodiesIncludeIngested(t *testing.T) {
 	// carries how many points were applied before the failure, so a
 	// client can resume without double-counting. A malformed line
 	// mid-stream is the canonical partial-application case.
-	ts := newLimitedServer(t, Config{})
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{})
 	resp, m := postIngest(t, ts, "[1,2]\nnot-json\n[3,4]\n")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed line status %d, want 400 (%v)", resp.StatusCode, m)
@@ -69,7 +56,7 @@ func TestIngestErrorBodiesIncludeIngested(t *testing.T) {
 
 func TestIngestLimitsDisabled(t *testing.T) {
 	// Negative caps disable the guards entirely.
-	ts := newLimitedServer(t, Config{MaxBodyBytes: -1, MaxPoints: -1})
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{MaxBodyBytes: -1, MaxPoints: -1})
 	resp, m := postIngest(t, ts, ndjson(2000, 2, 1))
 	if resp.StatusCode != http.StatusOK || m["ingested"].(float64) != 2000 {
 		t.Fatalf("uncapped ingest: %d %v", resp.StatusCode, m)
@@ -77,7 +64,7 @@ func TestIngestLimitsDisabled(t *testing.T) {
 }
 
 func TestIngestUnderDefaultLimitsUnaffected(t *testing.T) {
-	ts := newLimitedServer(t, Config{})
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{})
 	resp, m := postIngest(t, ts, ndjson(500, 2, 1))
 	if resp.StatusCode != http.StatusOK || m["ingested"].(float64) != 500 {
 		t.Fatalf("default-capped ingest: %d %v", resp.StatusCode, m)

@@ -8,26 +8,32 @@ import (
 	"streamkm/internal/metrics"
 )
 
-// Prometheus exposition for the serving processes: GET /metrics on the
-// single-stream Server, the multi-tenant Multi and (in internal/ring)
-// the router. Everything is derived from the same counters /stats
-// serves as JSON; the histograms add the latency distribution JSON only
-// summarizes as p50/p95.
+// Prometheus exposition for the serving processes: GET /metrics on Multi
+// and (in internal/ring) the router. Everything is derived from the same
+// counters /stats serves as JSON; the histograms add the latency
+// distribution JSON only summarizes as p50/p95.
 
 // promContentType is the text exposition format version the handlers
 // emit.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// endpointSample pairs an endpoint name with its counter snapshot.
-type endpointSample struct {
-	name string
-	snap metrics.EndpointSnapshot
-}
-
-// writeCommonMetrics emits the families every serving process shares:
-// per-endpoint request counters and latency histograms, checkpoint
-// counters, and uptime.
-func writeCommonMetrics(e *metrics.Exposition, eps []endpointSample, ck metrics.CheckpointSnapshot, start time.Time) {
+// handleMetrics serves the daemon's Prometheus exposition: per-endpoint
+// request counters and latency histograms, checkpoint counters, uptime,
+// registry lifecycle counters, residency gauges and the per-tenant
+// ingest/query series.
+func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	st := m.reg.Stats()
+	var e metrics.Exposition
+	eps := []struct {
+		name string
+		snap metrics.EndpointSnapshot
+	}{
+		{"ingest", m.ingestStats.Snapshot()},
+		{"centers", m.centersStats.Snapshot()},
+		{"stats", m.statsStats.Snapshot()},
+		{"snapshot", m.snapshotStats.Snapshot()},
+		{"admin", m.adminStats.Snapshot()},
+	}
 	req := e.Counter("streamkm_endpoint_requests_total", "Requests handled, by endpoint.")
 	for _, ep := range eps {
 		req.Add(float64(ep.snap.Requests), "endpoint", ep.name)
@@ -45,30 +51,9 @@ func writeCommonMetrics(e *metrics.Exposition, eps []endpointSample, ck metrics.
 		lat.Add(ep.snap.Latency, "endpoint", ep.name)
 	}
 	cks := e.Counter("streamkm_checkpoints_total", "Checkpoint attempts, by result.")
-	cks.Add(float64(ck.Written), "result", "written")
-	cks.Add(float64(ck.Failed), "result", "failed")
-	e.Gauge("streamkm_uptime_seconds", "Seconds since process start.").Add(time.Since(start).Seconds())
-}
-
-// serveProm writes the accumulated exposition.
-func serveProm(w http.ResponseWriter, e *metrics.Exposition) {
-	w.Header().Set("Content-Type", promContentType)
-	e.WriteTo(w)
-}
-
-// handleMetrics serves the multi-tenant daemon's Prometheus exposition:
-// the common endpoint families plus registry lifecycle counters,
-// residency gauges and the per-tenant ingest/query series.
-func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := m.reg.Stats()
-	var e metrics.Exposition
-	writeCommonMetrics(&e, []endpointSample{
-		{"ingest", m.ingestStats.Snapshot()},
-		{"centers", m.centersStats.Snapshot()},
-		{"stats", m.statsStats.Snapshot()},
-		{"snapshot", m.snapshotStats.Snapshot()},
-		{"admin", m.adminStats.Snapshot()},
-	}, st.Checkpoint, m.start)
+	cks.Add(float64(st.Checkpoint.Written), "result", "written")
+	cks.Add(float64(st.Checkpoint.Failed), "result", "failed")
+	e.Gauge("streamkm_uptime_seconds", "Seconds since process start.").Add(time.Since(m.start).Seconds())
 
 	g := e.Gauge("streamkm_streams", "Registered streams, by residency state.")
 	g.Add(float64(st.Resident), "state", "resident")
@@ -121,18 +106,6 @@ func (m *Multi) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		tlat.Add(t.ingest.Latency, "stream", t.id, "op", "ingest")
 		tlat.Add(t.query.Latency, "stream", t.id, "op", "query")
 	}
-	serveProm(w, &e)
-}
-
-// handleMetrics serves the single-stream server's exposition: the
-// common endpoint families only (one stream needs no tenant series).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var e metrics.Exposition
-	writeCommonMetrics(&e, []endpointSample{
-		{"ingest", s.ingestStats.Snapshot()},
-		{"centers", s.centersStats.Snapshot()},
-		{"stats", s.statsStats.Snapshot()},
-		{"snapshot", s.snapshotStats.Snapshot()},
-	}, s.checkpoint.Snapshot(), s.start)
-	serveProm(w, &e)
+	w.Header().Set("Content-Type", promContentType)
+	e.WriteTo(w)
 }

@@ -27,8 +27,8 @@ type MultiConfig struct {
 	// MaxBatch caps how many points are applied to a backend per
 	// AddBatch call while applying an ingest body. Default 512.
 	MaxBatch int
-	// MaxBodyBytes / MaxPoints are the per-request ingest caps, as in
-	// Config (413 beyond; 0 = defaults, negative = uncapped).
+	// MaxBodyBytes / MaxPoints are the per-request ingest caps (413
+	// beyond; 0 = defaults of 64 MiB and ~1M points, negative = uncapped).
 	MaxBodyBytes int64
 	MaxPoints    int64
 	// Trace receives one span per request and serves GET /debug/traces.
@@ -208,8 +208,58 @@ func (m *Multi) Registry() *registry.Registry { return m.reg }
 // Traces returns the recorder behind GET /debug/traces.
 func (m *Multi) Traces() *trace.Recorder { return m.tr }
 
+// handled is an http handler that additionally reports how many items it
+// processed and whether it failed, for endpoint accounting.
+type handled func(w http.ResponseWriter, r *http.Request) (items int64, failed bool)
+
+// observe wraps a handler with latency/throughput accounting and the
+// per-request span lifecycle: an incoming traceparent joins its trace,
+// anything else starts a fresh one; the span rides the request context
+// so deeper layers (registry lock-wait, restore) can add stages; and a
+// request over the slow threshold emits one structured log record.
 func (m *Multi) observe(name string, st *metrics.EndpointStats, h handled) http.Handler {
-	return observe(m.tr, m.cfg.SlowRequest, m.logger, name, st, h)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		tid, parent, _, _ := trace.Parse(r.Header.Get(trace.Header))
+		sp := m.tr.StartSpan(name, tid, parent)
+		r = r.WithContext(trace.NewContext(r.Context(), sp))
+		sw := &statusWriter{ResponseWriter: w}
+		items, failed := h(sw, r)
+		d := time.Since(t0)
+		st.Record(d, items, failed)
+		status := sw.status
+		if status == 0 {
+			status = http.StatusOK // handler wrote nothing: net/http's implicit 200
+		}
+		sp.SetStatus(status)
+		sp.SetFailed(failed)
+		data := sp.End()
+		if slow := m.cfg.SlowRequest; slow > 0 && d >= slow {
+			trace.LogSlow(m.logger, data)
+		}
+	})
+}
+
+// statusWriter captures the status code a handler resolved to, for the
+// request's span; a Write without an explicit WriteHeader is the
+// implicit 200.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
 }
 
 // byID adapts a per-stream handler to the mux, extracting {id} and
@@ -234,6 +284,8 @@ func statusFor(err error) int {
 	case errors.Is(err, registry.ErrInvalidID):
 		return http.StatusBadRequest
 	case errors.Is(err, registry.ErrInvalidConfig):
+		return http.StatusBadRequest
+	case errors.Is(err, registry.ErrNoSnapshotPath):
 		return http.StatusBadRequest
 	case errors.Is(err, registry.ErrThrottled):
 		return http.StatusTooManyRequests
@@ -437,6 +489,9 @@ func (m *Multi) handleStreamStats(id string, w http.ResponseWriter, _ *http.Requ
 	}
 	if in.MaxResBytes > 0 {
 		resp["max_resident_bytes"] = in.MaxResBytes
+	}
+	if in.CentersCache != nil {
+		resp["centers_cache"] = in.CentersCache
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return 0, false

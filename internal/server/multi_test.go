@@ -7,8 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"streamkm"
 	"streamkm/internal/persist"
@@ -126,20 +129,109 @@ func decodeJSON(t *testing.T, resp *http.Response, v interface{}) {
 	}
 }
 
+// TestMultiRootAliasesDefaultStream: each single-stream alias and its
+// /streams/default/... twin are one handler. The aliased request and the
+// same request on the twin answer with the same body fields, and move
+// the same /stats endpoint counters and the same
+// streamkm_tenant_*{stream="default"} series.
 func TestMultiRootAliasesDefaultStream(t *testing.T) {
-	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{})
-	resp, m := postIngest(t, ts, ndjson(100, 2, 3))
-	if resp.StatusCode != 200 || m["ingested"].(float64) != 100 {
-		t.Fatalf("alias ingest %d %v", resp.StatusCode, m)
+	ts, m := newMultiServer(t, registry.Config{DataDir: t.TempDir()}, MultiConfig{})
+	tr := m.Traces()
+	// settle waits until every accounted request has recorded its
+	// counters: observe ends a request's span only after recording it.
+	settle := func() {
+		for deadline := time.Now().Add(5 * time.Second); tr.Completed() < tr.Started(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("requests never completed")
+			}
+		}
 	}
-	// The same points are visible through the explicit default route.
-	resp, m = getJSON(t, ts.URL+"/streams/default/centers")
-	if resp.StatusCode != 200 || m["count"].(float64) != 100 {
-		t.Fatalf("default stream centers %d %v", resp.StatusCode, m)
+	// counters flattens the request accounting both routes must move
+	// alike; latency buckets and sums are left out, as they vary with
+	// timing.
+	counters := func() map[string]float64 {
+		settle()
+		_, st := getJSON(t, ts.URL+"/stats")
+		settle()
+		out := map[string]float64{}
+		for name, ep := range st["endpoints"].(map[string]interface{}) {
+			for _, f := range []string{"requests", "errors", "items"} {
+				v, _ := ep.(map[string]interface{})[f].(float64) // items is omitted at 0
+				out["endpoints."+name+"."+f] = v
+			}
+		}
+		for k, v := range scrapeProm(t, ts.URL) {
+			if strings.HasPrefix(k, "streamkm_tenant_") && strings.Contains(k, `stream="default"`) &&
+				!strings.Contains(k, "_bucket{") && !strings.Contains(k, "_sum{") {
+				out[k] = v
+			}
+		}
+		return out
 	}
-	resp, m = getJSON(t, ts.URL+"/centers")
-	if resp.StatusCode != 200 || m["count"].(float64) != 100 {
-		t.Fatalf("alias centers %d %v", resp.StatusCode, m)
+	// call sends one request and describes its answer: the status, the
+	// content type and the body's JSON fields, or for a snapshot
+	// download the point count it restores to.
+	call := func(method, path, body string) string {
+		resp, raw := doReq(t, ts.Client(), method, ts.URL+path, body)
+		desc := fmt.Sprintf("%d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
+		if resp.Header.Get("Content-Type") == "application/octet-stream" {
+			c, err := streamkm.NewConcurrentFromSnapshot(bytes.NewReader(raw), streamkm.Config{})
+			if err != nil {
+				t.Fatalf("%s %s: snapshot does not restore: %v", method, path, err)
+			}
+			return fmt.Sprintf("%s snapshot of %d points", desc, c.Count())
+		}
+		var fields map[string]interface{}
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatalf("%s %s: response not JSON: %v", method, path, err)
+		}
+		if fields["stream"] != "default" {
+			t.Fatalf("%s %s: answered for stream %v", method, path, fields["stream"])
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return fmt.Sprintf("%s %v", desc, keys)
+	}
+	delta := func(before, after map[string]float64) map[string]float64 {
+		out := map[string]float64{}
+		for k, v := range after {
+			if d := v - before[k]; d != 0 {
+				out[k] = d
+			}
+		}
+		return out
+	}
+
+	body := ndjson(100, 2, 3)
+	for _, tc := range []struct {
+		method, alias, twin, body string
+	}{
+		{http.MethodPost, "/ingest", "/streams/default/ingest", body},
+		{http.MethodGet, "/centers", "/streams/default/centers", ""},
+		{http.MethodGet, "/snapshot", "/streams/default/snapshot", ""},
+		{http.MethodPost, "/snapshot", "/streams/default/snapshot", ""},
+	} {
+		c0 := counters()
+		aliased := call(tc.method, tc.alias, tc.body)
+		c1 := counters()
+		twin := call(tc.method, tc.twin, tc.body)
+		c2 := counters()
+		if aliased != twin {
+			t.Errorf("%s %s answered %s, %s answered %s", tc.method, tc.alias, aliased, tc.twin, twin)
+		}
+		if !strings.HasPrefix(aliased, "200 ") {
+			t.Errorf("%s %s: %s, want 200", tc.method, tc.alias, aliased)
+		}
+		if da, dt := delta(c0, c1), delta(c1, c2); !reflect.DeepEqual(da, dt) {
+			t.Errorf("%s %s moved counters %v, %s moved %v", tc.method, tc.alias, da, tc.twin, dt)
+		}
+	}
+	// Both ingests reached the one default stream.
+	if _, st := getJSON(t, ts.URL+"/streams/default/stats"); st["count"].(float64) != 200 {
+		t.Fatalf("default stream count %v, want 200", st["count"])
 	}
 }
 
@@ -260,6 +352,9 @@ func TestMultiListAndStats(t *testing.T) {
 	if m["count"].(float64) != 50 {
 		t.Fatalf("hibernated stat count %v, want 50", m["count"])
 	}
+	if _, ok := m["centers_cache"]; ok {
+		t.Fatalf("cold stream reports centers_cache: %v", m)
+	}
 	resp, m = getJSON(t, ts.URL+"/streams/"+victim+"/stats")
 	if m["resident"].(bool) {
 		t.Fatal("statting a cold stream warmed it")
@@ -364,6 +459,11 @@ func TestMultiIngestBodyLimit413(t *testing.T) {
 	decodeJSON(t, resp, &body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status %d, want 413 (%v)", resp.StatusCode, body)
+	}
+	// The body is buffered before anything is decoded, so an over-cap
+	// body applies nothing.
+	if n, ok := body["ingested"].(float64); !ok || n != 0 {
+		t.Fatalf("413 response reports ingested %v, want 0: %v", body["ingested"], body)
 	}
 }
 

@@ -198,6 +198,8 @@ func TestMultiMetricsScrapeE2E(t *testing.T) {
 	}
 }
 
+// TestSingleStreamMetricsScrapeE2E: an ingest through the default
+// stream's alias route lands in the endpoint families.
 func TestSingleStreamMetricsScrapeE2E(t *testing.T) {
 	ts, _ := newTestServer(t, 3, 2)
 	if resp, m := postIngest(t, ts, ndjson(10, 2, 1)); resp.StatusCode != http.StatusOK {

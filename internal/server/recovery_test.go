@@ -5,19 +5,22 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
 	"streamkm"
+	"streamkm/internal/registry"
 )
 
 // The end-to-end crash-recovery suite: for every coreset algorithm, a
-// server that is stopped after a snapshot and restored into a fresh
-// process-equivalent must be indistinguishable — same count, same memory
-// footprint, equivalent clustering cost — from a server that never went
-// down. This is the test the checkpoint subsystem exists to pass.
+// server that is stopped after a snapshot and whose snapshot is installed
+// into a fresh process-equivalent must be indistinguishable — same
+// count, same memory footprint, equivalent clustering cost — from a
+// server that never went down. This is the test the checkpoint subsystem
+// exists to pass.
 
 // recoverable is a servable backend that can also checkpoint itself.
 type recoverable interface {
@@ -74,11 +77,12 @@ func (l *lockedOnlineCC) Snapshot(w io.Writer) error {
 }
 
 // recoveryBackend builds fresh and snapshot-restored instances of one
-// algorithm's serving backend.
+// algorithm's serving backend. restore runs inside the registry, on a
+// request's goroutine, so it reports failure as an error.
 type recoveryBackend struct {
 	name    string
 	fresh   func(t *testing.T) recoverable
-	restore func(t *testing.T, snap []byte) recoverable
+	restore func(snap []byte) (recoverable, error)
 }
 
 func recoveryBackends() []recoveryBackend {
@@ -95,12 +99,8 @@ func recoveryBackends() []recoveryBackend {
 				}
 				return c
 			},
-			restore: func(t *testing.T, snap []byte) recoverable {
-				c, err := streamkm.NewConcurrentFromSnapshot(bytes.NewReader(snap), streamkm.Config{Seed: 43})
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				return c
+			restore: func(snap []byte) (recoverable, error) {
+				return streamkm.NewConcurrentFromSnapshot(bytes.NewReader(snap), streamkm.Config{Seed: 43})
 			},
 		})
 	}
@@ -113,12 +113,12 @@ func recoveryBackends() []recoveryBackend {
 			}
 			return &lockedOnlineCC{c: c}
 		},
-		restore: func(t *testing.T, snap []byte) recoverable {
+		restore: func(snap []byte) (recoverable, error) {
 			c, err := streamkm.Load(bytes.NewReader(snap), streamkm.Config{Seed: 43})
 			if err != nil {
-				t.Fatalf("restore: %v", err)
+				return nil, err
 			}
-			return &lockedOnlineCC{c: c}
+			return &lockedOnlineCC{c: c}, nil
 		},
 	})
 	return out
@@ -199,8 +199,11 @@ func TestSnapshotDuringConcurrentTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(c, Config{K: 3, MaxBatch: batchSize}).Handler())
-	defer ts.Close()
+	ts := serve(t, NewMulti(singleStreamRegistry(t, registry.Config{
+		Default: registry.StreamConfig{Algo: "CC", K: 3},
+	}, c, nil), MultiConfig{MaxBatch: batchSize}))
+	// The first snapshot may be taken before any ingest lands.
+	putStream(t, ts.Client(), ts.URL+"/streams/default", "")
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -284,9 +287,14 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 
 	for _, b := range recoveryBackends() {
 		t.Run(b.name, func(t *testing.T) {
+			regCfg := registry.Config{Default: registry.StreamConfig{Algo: b.name, K: 3}}
+			serveBackend := func(c recoverable) *httptest.Server {
+				return httptest.NewServer(NewMulti(singleStreamRegistry(t, regCfg, c, nil), MultiConfig{MaxBatch: chunk}).Handler())
+			}
+
 			// Uninterrupted reference run.
 			ref := b.fresh(t)
-			refSrv := httptest.NewServer(New(ref, Config{K: 3, MaxBatch: chunk}).Handler())
+			refSrv := serveBackend(ref)
 			ingestChunks(t, refSrv, stream, chunk)
 			refCount := ref.Count()
 			refStored := ref.PointsStored()
@@ -297,16 +305,27 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 			}
 
 			// Crashed run: ingest half, snapshot over HTTP, tear everything
-			// down, restore into a brand-new server, ingest the rest.
-			first := b.fresh(t)
-			srv1 := httptest.NewServer(New(first, Config{K: 3, MaxBatch: chunk}).Handler())
+			// down, install the snapshot into a brand-new server, ingest
+			// the rest.
+			srv1 := serveBackend(b.fresh(t))
 			ingestChunks(t, srv1, stream[:n/2], chunk)
 			snap := fetchSnapshot(t, srv1)
 			srv1.Close() // the "crash": the first server is gone for good
 
-			restored := b.restore(t, snap)
-			srv2 := httptest.NewServer(New(restored, Config{K: 3, MaxBatch: chunk}).Handler())
-			defer srv2.Close()
+			var restored recoverable
+			installCfg := regCfg
+			installCfg.DataDir = t.TempDir() // an install persists the envelope first
+			srv2 := serve(t, NewMulti(singleStreamRegistry(t, installCfg, nil, func(snap []byte) (registry.Backend, error) {
+				r, err := b.restore(snap)
+				if err != nil {
+					return nil, err
+				}
+				restored = r
+				return r, nil
+			}), MultiConfig{MaxBatch: chunk}))
+			if resp, body := doReq(t, srv2.Client(), http.MethodPut, srv2.URL+"/streams/default/snapshot", string(snap)); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("install snapshot: status %d: %s", resp.StatusCode, body)
+			}
 			if got := restored.Count(); got != n/2 {
 				t.Fatalf("restored count %d, want %d", got, n/2)
 			}

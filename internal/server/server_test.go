@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,19 +13,64 @@ import (
 	"testing"
 
 	"streamkm"
+	"streamkm/internal/registry"
 )
 
-// newTestServer backs the HTTP layer with a real streamkm.Concurrent —
-// the production pairing — over a tiny configuration.
+// newTestServer serves a one-stream Multi whose default stream is a real
+// streamkm.Concurrent — the production pairing — over a tiny
+// configuration. The stream is created on first ingest (or PUT); dim > 0
+// fixes its dimension up front. The test reads the backend directly.
 func newTestServer(t *testing.T, k, dim int) (*httptest.Server, *streamkm.Concurrent) {
 	t.Helper()
 	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: k, BucketSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(c, Config{K: k, Dim: dim, MaxBatch: 64}).Handler())
+	m := NewMulti(singleStreamRegistry(t, registry.Config{
+		Default: registry.StreamConfig{Algo: "CC", K: k, Dim: dim},
+	}, c, nil), MultiConfig{MaxBatch: 64})
+	return serve(t, m), c
+}
+
+// singleStreamRegistry builds a registry that serves one stream, the
+// default one, from backends the test owns: creating the stream hands
+// out b, and restoring it (installing a snapshot) calls restore, or
+// fails when restore is nil. Any other stream id is refused, so b is the
+// only backend the registry ever serves.
+func singleStreamRegistry(t testing.TB, cfg registry.Config, b registry.Backend, restore func(snap []byte) (registry.Backend, error)) *registry.Registry {
+	t.Helper()
+	if cfg.Default == (registry.StreamConfig{}) {
+		cfg.Default = registry.StreamConfig{K: 2}
+	}
+	cfg.New = func(id string, _ registry.StreamConfig) (registry.Backend, error) {
+		if id != "default" || b == nil {
+			return nil, fmt.Errorf("test registry builds no stream %q", id)
+		}
+		return b, nil
+	}
+	cfg.Restore = func(id string, _ registry.StreamConfig, r io.Reader) (registry.Backend, registry.StreamConfig, error) {
+		if id != "default" || restore == nil {
+			return nil, registry.StreamConfig{}, fmt.Errorf("test registry restores no stream %q", id)
+		}
+		snap, err := io.ReadAll(r)
+		if err != nil {
+			return nil, registry.StreamConfig{}, err
+		}
+		rb, err := restore(snap)
+		return rb, cfg.Default, err
+	}
+	reg, err := registry.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// serve mounts m on a test HTTP server closed at the end of the test.
+func serve(t testing.TB, m *Multi) *httptest.Server {
+	ts := httptest.NewServer(m.Handler())
 	t.Cleanup(ts.Close)
-	return ts, c
+	return ts
 }
 
 func ndjson(n, dim int, seed int64) string {
@@ -178,7 +224,8 @@ func TestIngestDimensionMismatch(t *testing.T) {
 		t.Fatalf("error %q", m["error"])
 	}
 
-	// Configured dimension: rejected before anything is applied.
+	// Configured dimension (the registry default's): rejected before
+	// anything is applied.
 	ts2, c2 := newTestServer(t, 2, 5)
 	resp, _ = postIngest(t, ts2, "[1,2]\n")
 	if resp.StatusCode != http.StatusBadRequest {
@@ -191,6 +238,7 @@ func TestIngestDimensionMismatch(t *testing.T) {
 
 func TestCentersEmptyStream(t *testing.T) {
 	ts, _ := newTestServer(t, 3, 0)
+	putStream(t, ts.Client(), ts.URL+"/streams/default", "") // a query never creates a stream
 	resp, m := getJSON(t, ts.URL+"/centers")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -201,11 +249,11 @@ func TestCentersEmptyStream(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ts, _ := newTestServer(t, 3, 0)
+	ts, c := newTestServer(t, 3, 0)
 	postIngest(t, ts, ndjson(300, 4, 2))
 	getJSON(t, ts.URL+"/centers")
 
-	resp, m := getJSON(t, ts.URL+"/stats")
+	resp, m := getJSON(t, ts.URL+"/streams/default/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -215,6 +263,16 @@ func TestStats(t *testing.T) {
 	if m["points_stored"].(float64) <= 0 || m["memory_mb"].(float64) <= 0 {
 		t.Fatalf("memory stats %v", m)
 	}
+	hits, misses := c.CacheStats()
+	cache, ok := m["centers_cache"].(map[string]interface{})
+	if !ok || cache["hits"].(float64) != float64(hits) || cache["misses"].(float64) != float64(misses) || hits+misses == 0 {
+		t.Fatalf("centers_cache %v, backend reports hits %d misses %d", m["centers_cache"], hits, misses)
+	}
+
+	resp, m = getJSON(t, ts.URL+"/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
 	eps := m["endpoints"].(map[string]interface{})
 	ing := eps["ingest"].(map[string]interface{})
 	if ing["requests"].(float64) != 1 || ing["items"].(float64) != 300 {
@@ -223,9 +281,6 @@ func TestStats(t *testing.T) {
 	cen := eps["centers"].(map[string]interface{})
 	if cen["requests"].(float64) != 1 {
 		t.Fatalf("centers counters %v", cen)
-	}
-	if _, ok := m["centers_cache"]; !ok {
-		t.Fatalf("no centers_cache in stats: %v", m)
 	}
 }
 
@@ -240,16 +295,17 @@ func TestStatsCountsErrors(t *testing.T) {
 }
 
 // TestSnapshotEndpoints exercises the checkpoint surface: POST writes the
-// configured file atomically and accounts it in /stats, GET streams the
-// same state, and both degrade cleanly when unsupported or unconfigured.
+// stream's file atomically and accounts it in /stats, and GET streams the
+// same state.
 func TestSnapshotEndpoints(t *testing.T) {
 	c, err := streamkm.NewConcurrent(streamkm.AlgoCC, 2, streamkm.Config{K: 2, BucketSize: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/state.snap"
-	ts := httptest.NewServer(New(c, Config{K: 2, SnapshotPath: path}).Handler())
-	defer ts.Close()
+	ts := serve(t, NewMulti(singleStreamRegistry(t, registry.Config{
+		Files: map[string]string{"default": path},
+	}, c, nil), MultiConfig{}))
 	postIngest(t, ts, ndjson(120, 3, 9))
 
 	resp, err := http.Post(ts.URL+"/snapshot", "", nil)
@@ -262,7 +318,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /snapshot status %d: %v", resp.StatusCode, m)
 	}
-	if m["path"].(string) != path || m["bytes"].(float64) <= 0 || m["count"].(float64) != 120 {
+	if m["bytes"].(float64) <= 0 || m["count"].(float64) != 120 {
 		t.Fatalf("snapshot response %v", m)
 	}
 
@@ -312,31 +368,17 @@ func mustOpen(t *testing.T, path string) *os.File {
 }
 
 func TestSnapshotWithoutPathIs400(t *testing.T) {
-	ts, _ := newTestServer(t, 2, 0) // no SnapshotPath configured
-	resp, err := http.Post(ts.URL+"/snapshot", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestSnapshotUnsupportedBackendIs501(t *testing.T) {
-	ts := httptest.NewServer(New(&sinkClusterer{}, Config{K: 2}).Handler())
-	defer ts.Close()
-	for _, do := range []func() (*http.Response, error){
-		func() (*http.Response, error) { return http.Get(ts.URL + "/snapshot") },
-		func() (*http.Response, error) { return http.Post(ts.URL+"/snapshot", "", nil) },
-	} {
-		resp, err := do()
+	ts, _ := newTestServer(t, 2, 0) // no data directory, no stream file
+	postIngest(t, ts, ndjson(10, 2, 1))
+	for _, path := range []string{"/snapshot", "/streams/default/snapshot"} {
+		resp, err := http.Post(ts.URL+path, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Fatalf("status %d, want 501", resp.StatusCode)
+		var m map[string]interface{}
+		decodeJSON(t, resp, &m)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %d, want 400 (%v)", path, resp.StatusCode, m)
 		}
 	}
 }

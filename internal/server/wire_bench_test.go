@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"streamkm/internal/datagen"
+	"streamkm/internal/registry"
 	"streamkm/internal/wire"
 )
 
 // BenchmarkIngestWire measures the HTTP ingest path's codec cost on both
-// wire formats with clustering stubbed out (sinkClusterer), so the delta
-// is purely parse + allocate: the overhead the binary columnar format
-// exists to remove. Two body shapes: synthetic500 is 500 points of short
+// wire formats with clustering stubbed out (sinkClusterer, the default
+// stream of a one-stream Multi, posted to through POST /ingest), so the
+// delta is purely parse + allocate: the overhead the binary columnar
+// format exists to remove. Two body shapes: synthetic500 is 500 points of short
 // values; covtype1000 is what perfbench's routed workload sends, 1000
 // Covtype stand-in points quantized to float32 and formatted shortest
 // ('g', -1), about 244 KB of ndjson per request. Points/op are equal
@@ -39,8 +41,13 @@ func BenchmarkIngestWire(b *testing.B) {
 	}
 
 	run := func(b *testing.B, contentType string, body []byte, points int) {
-		srv := New(&sinkClusterer{}, Config{K: 2, Dim: dim, MaxBatch: 512})
-		ts := httptest.NewServer(srv.Handler())
+		m := NewMulti(singleStreamRegistry(b, registry.Config{
+			Default: registry.StreamConfig{K: 2, Dim: dim},
+		}, &sinkClusterer{}, nil), MultiConfig{MaxBatch: 512})
+		if err := m.Registry().Create("default", registry.StreamConfig{}); err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(m.Handler())
 		defer ts.Close()
 		client := ts.Client()
 		b.SetBytes(int64(len(body)))

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -257,13 +256,14 @@ func TestBinaryNdjsonEquivalenceWeighted(t *testing.T) {
 	assertEquivalent(t, "weighted", pts, ts.URL, "wdiff-nd", "wdiff-bin")
 }
 
-// TestBinaryIngestSingleStream exercises the legacy single-stream server
-// binary path end-to-end: round trip through POST /ingest plus the
-// malformed-body, empty-batch and wrong-dimension contracts.
+// TestBinaryIngestSingleStream exercises the binary path end-to-end on
+// the default stream's alias route: round trip through POST /ingest plus
+// the malformed-body, empty-batch and wrong-dimension contracts.
 func TestBinaryIngestSingleStream(t *testing.T) {
-	srv := New(&sinkClusterer{}, Config{K: 2, Dim: 3, MaxBatch: 8})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	sink := &sinkClusterer{}
+	ts := serve(t, NewMulti(singleStreamRegistry(t, registry.Config{
+		Default: registry.StreamConfig{K: 2, Dim: 3},
+	}, sink, nil), MultiConfig{MaxBatch: 8}))
 
 	pts := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
 	if got := postWire(t, ts.URL+"/ingest", true, pts, nil); got != 3 {
@@ -286,7 +286,7 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	}
 
 	// Wrong dimension: 400, nothing applied.
-	before := srv.c.Count()
+	before := sink.Count()
 	bad, err := wire.EncodeBatch([][]float64{{1, 2}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +299,8 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || out["ingested"].(float64) != 0 {
 		t.Fatalf("dim mismatch: status %d body %v", resp.StatusCode, out)
 	}
-	if srv.c.Count() != before {
-		t.Fatalf("dim mismatch applied points: %d -> %d", before, srv.c.Count())
+	if sink.Count() != before {
+		t.Fatalf("dim mismatch applied points: %d -> %d", before, sink.Count())
 	}
 
 	// Truncated body: 400, nothing applied.
@@ -316,8 +316,8 @@ func TestBinaryIngestSingleStream(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated: status %d body %v", resp.StatusCode, out)
 	}
-	if srv.c.Count() != before {
-		t.Fatalf("truncated body applied points: %d -> %d", before, srv.c.Count())
+	if sink.Count() != before {
+		t.Fatalf("truncated body applied points: %d -> %d", before, sink.Count())
 	}
 }
 
@@ -346,37 +346,36 @@ func TestBinaryIngestEmptyBatchNeverCreatesStream(t *testing.T) {
 }
 
 // TestIngestStagesMatchAcrossWires: an ndjson body is decoded in full
-// before it is applied, as a binary one is, so on both servers the two
-// wires record the same trace stages, wire-decode ahead of cluster-apply.
+// before it is applied, as a binary one is, so on both ingest routes the
+// two wires record the same trace stages, wire-decode ahead of
+// cluster-apply.
 func TestIngestStagesMatchAcrossWires(t *testing.T) {
 	pts := quantPoints(20, 3, 1)
-	srv := New(&sinkClusterer{}, Config{K: 2})
-	single := httptest.NewServer(srv.Handler())
-	t.Cleanup(single.Close)
 	multi, m := newMultiServer(t, registry.Config{}, MultiConfig{})
-	// Create the stream first, so both measured requests take the
+	// Create the streams first, so every measured request takes the
 	// registry's resident path.
 	postWire(t, multi.URL+"/streams/s/ingest", false, pts, nil)
+	postWire(t, multi.URL+"/ingest", false, pts, nil)
 
+	tr := m.Traces()
 	for _, tc := range []struct {
 		name string
 		url  string
-		tr   *trace.Recorder
 	}{
-		{"Server", single.URL + "/ingest", srv.Traces()},
-		{"Multi", multi.URL + "/streams/s/ingest", m.Traces()},
+		{"Alias", multi.URL + "/ingest"},
+		{"Multi", multi.URL + "/streams/s/ingest"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var sets [][]string
 			for _, binary := range []bool{false, true} {
-				before := len(tc.tr.Spans(trace.Filter{Endpoint: "ingest"}))
+				before := len(tr.Spans(trace.Filter{Endpoint: "ingest"}))
 				postWire(t, tc.url, binary, pts, nil)
 				var spans []trace.SpanData
 				for deadline := time.Now().Add(5 * time.Second); len(spans) <= before; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {
 						t.Fatal("ingest span never recorded")
 					}
-					spans = tc.tr.Spans(trace.Filter{Endpoint: "ingest"})
+					spans = tr.Spans(trace.Filter{Endpoint: "ingest"})
 				}
 				var names []string
 				for _, st := range spans[0].Stages {

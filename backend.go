@@ -1,22 +1,14 @@
 package streamkm
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"streamkm/internal/core"
-	"streamkm/internal/coreset"
 	"streamkm/internal/decay"
-	"streamkm/internal/geom"
 	"streamkm/internal/persist"
 	"streamkm/internal/registry"
-	"streamkm/internal/trace"
 	"streamkm/internal/window"
 )
 
@@ -271,10 +263,7 @@ func Open(spec BackendSpec, cfg Config) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.dim = spec.Dim
-		if spec.hasQuota() {
-			return &concurrentBackend{Concurrent: c, spec: spec}, nil
-		}
+		c.spec = spec
 		return c, nil
 	case BackendDecayed:
 		switch spec.Algo {
@@ -295,11 +284,12 @@ func Open(spec BackendSpec, cfg Config) (Backend, error) {
 			lambda, wall = ln2/spec.HalfLifeSeconds, true
 		}
 		sh, err := decay.NewSharded(spec.Shards, cfg.K, lambda, cfg.Seed, cfg.queryOptions(),
-			decayDriverFactory(spec.Algo, cfg, b))
+			driverFactory(spec.Algo, cfg, b))
 		if err != nil {
 			return nil, err
 		}
-		return &decayedBackend{spec: spec, sh: sh, alpha: cfg.Alpha, wall: wall, epoch: time.Now()}, nil
+		return &laneBackend{spec: spec, alpha: cfg.Alpha,
+			lanes: &decayedLanes{Sharded: sh, wall: wall, epoch: time.Now()}}, nil
 	case BackendWindowed:
 		cfg, err := cfg.withDefaults()
 		if err != nil {
@@ -315,29 +305,9 @@ func Open(spec BackendSpec, cfg Config) (Backend, error) {
 			return nil, err
 		}
 		spec.Algo = ""
-		return &windowedBackend{spec: spec, sh: sh, alpha: cfg.Alpha}, nil
+		return &laneBackend{spec: spec, alpha: cfg.Alpha, lanes: windowedLanes{sh}}, nil
 	}
 	return nil, fmt.Errorf("streamkm: unknown backend type %q", spec.Type)
-}
-
-// decayDriverFactory builds the per-lane driver constructor for the
-// sharded decay pipeline — the same structure wiring as newShardedInner,
-// but returning the raw *core.Driver the decay shard wraps. cfg must
-// already carry defaults.
-func decayDriverFactory(algo Algo, cfg Config, b coreset.Builder) func(lane int, seed int64) *core.Driver {
-	return func(_ int, seed int64) *core.Driver {
-		rng := rand.New(rand.NewSource(seed))
-		var s core.Structure
-		switch algo {
-		case AlgoCT:
-			s = core.NewCT(cfg.MergeDegree, cfg.BucketSize, b, rng)
-		case AlgoCC:
-			s = core.NewCC(cfg.MergeDegree, cfg.BucketSize, b, rng)
-		default:
-			s = core.NewRCC(cfg.RCCOrder, cfg.BucketSize, b, rng)
-		}
-		return core.NewDriver(s, cfg.K, cfg.BucketSize, rng, cfg.queryOptions())
-	}
 }
 
 // Restore reconstructs a serving backend previously written by a
@@ -355,7 +325,7 @@ func Restore(spec BackendSpec, r io.Reader, cfg Config) (Backend, error) {
 	var b Backend
 	switch env.Kind {
 	case persist.KindSharded:
-		b, err = concurrentFromSharded(env, cfg)
+		b, err = concurrentFromSharded(env.Sharded, cfg)
 	case persist.KindBackend:
 		b, err = backendFromEnvelope(env.Backend, cfg)
 	default:
@@ -378,13 +348,13 @@ func backendFromEnvelope(bs *persist.BackendSnapshot, cfg Config) (Backend, erro
 	}
 	switch bs.Type {
 	case persist.BackendConcurrent:
-		c, err := concurrentFromSharded(persist.Envelope{Kind: persist.KindSharded, Sharded: bs.Sharded}, cfg)
+		c, err := concurrentFromSharded(bs.Sharded, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if spec := specFromSnapshot(bs); spec.hasQuota() {
-			return &concurrentBackend{Concurrent: c, spec: spec}, nil
-		}
+		c.spec.PointsPerSec = bs.PointsPerSec
+		c.spec.BytesPerSec = bs.BytesPerSec
+		c.spec.MaxResidentBytes = bs.MaxResidentBytes
 		return c, nil
 	case persist.BackendDecayed:
 		cfg.K = 1
@@ -436,8 +406,8 @@ func backendFromEnvelope(bs *persist.BackendSnapshot, cfg Config) (Backend, erro
 		}
 		spec := specFromSnapshot(bs)
 		spec.Shards = sh.NumLanes()
-		return &decayedBackend{spec: spec, sh: sh, alpha: cfg.Alpha,
-			wall: wall, epoch: time.Now(), base: bs.ElapsedSeconds}, nil
+		return &laneBackend{spec: spec, alpha: cfg.Alpha,
+			lanes: &decayedLanes{Sharded: sh, wall: wall, epoch: time.Now(), base: bs.ElapsedSeconds}}, nil
 	case persist.BackendWindowed:
 		cfg.K = 1
 		cfg, err := cfg.withDefaults()
@@ -473,7 +443,7 @@ func backendFromEnvelope(bs *persist.BackendSnapshot, cfg Config) (Backend, erro
 		}
 		spec := specFromSnapshot(bs)
 		spec.Shards = sh.NumLanes()
-		return &windowedBackend{spec: spec, sh: sh, alpha: cfg.Alpha}, nil
+		return &laneBackend{spec: spec, alpha: cfg.Alpha, lanes: windowedLanes{sh}}, nil
 	}
 	return nil, fmt.Errorf("streamkm: unknown backend type %q in snapshot", bs.Type)
 }
@@ -493,345 +463,4 @@ func specFromSnapshot(bs *persist.BackendSnapshot) BackendSpec {
 		BytesPerSec:      bs.BytesPerSec,
 		MaxResidentBytes: bs.MaxResidentBytes,
 	}
-}
-
-// Spec reports the backend spec of a Concurrent, making it a Backend.
-// Dim is the dimension recorded in the snapshot it was restored from (or
-// passed to Open), 0 otherwise.
-func (c *Concurrent) Spec() BackendSpec {
-	return BackendSpec{
-		Type:   BackendConcurrent,
-		Algo:   c.algo,
-		K:      c.k,
-		Dim:    c.dim,
-		Shards: c.NumShards(),
-	}
-}
-
-// concurrentBackend wraps a Concurrent whose spec carries per-tenant
-// quota knobs. The quotas are serving-layer policy the core clusterer
-// knows nothing about, so the wrapper overrides only Spec (reporting
-// them) and Snapshot (recording them in a v3 typed envelope around the
-// usual sharded payload; a bare Concurrent keeps writing the v2 sharded
-// envelope unchanged, so pre-quota golden snapshots stay valid).
-type concurrentBackend struct {
-	*Concurrent
-	spec BackendSpec
-}
-
-func (b *concurrentBackend) Spec() BackendSpec {
-	s := b.Concurrent.Spec()
-	s.PointsPerSec = b.spec.PointsPerSec
-	s.BytesPerSec = b.spec.BytesPerSec
-	s.MaxResidentBytes = b.spec.MaxResidentBytes
-	return s
-}
-
-func (b *concurrentBackend) Snapshot(w io.Writer) error {
-	env, err := b.Concurrent.snapshotEnvelope()
-	if err != nil {
-		return err
-	}
-	s := env.Sharded
-	return persist.Save(w, persist.Envelope{Kind: persist.KindBackend, Backend: &persist.BackendSnapshot{
-		Type:             persist.BackendConcurrent,
-		Algo:             string(b.Concurrent.Algo()),
-		K:                s.K,
-		Dim:              s.Dim,
-		Shards:           len(s.Shards),
-		Count:            s.Count,
-		PointsPerSec:     b.spec.PointsPerSec,
-		BytesPerSec:      b.spec.BytesPerSec,
-		MaxResidentBytes: b.spec.MaxResidentBytes,
-		Sharded:          s,
-	}})
-}
-
-// decayedBackend serves the sharded forward-decay pipeline: the tiny
-// sequencing step stamps every batch's global decay times (arrival
-// indices, or monotonic wall-clock seconds in HalfLifeSeconds mode),
-// coreset insertion proceeds under per-lane locks, and each batch ends by
-// publishing its lane's view — for CC lanes the cached major prefix plus
-// the buckets after it, unreduced, with the lane's reference time. A
-// refresh unions those views rescaled to a common reference time without
-// taking a lane lock and without reducing, behind the same cached-centers
-// single-flight fast path as Concurrent, and stamps the cache entry with
-// the arrivals the views cover. The cache freshness test keys on arrival
-// count only: with no new arrivals, decay scales every weight by the same
-// factor, and k-means centers are invariant under uniform weight scaling,
-// so a count-fresh entry stays correct even as wall-clock time passes.
-type decayedBackend struct {
-	spec  BackendSpec
-	sh    *decay.Sharded
-	alpha float64
-
-	// Wall-clock mode (HalfLifeSeconds): decay times are seconds since
-	// the stream epoch, read from Go's monotonic clock. base carries the
-	// seconds accumulated before the last restore, so a restarted stream
-	// continues the same timeline rather than rejuvenating its points.
-	wall  bool
-	epoch time.Time
-	base  float64
-
-	cache        atomic.Pointer[centersSnapshot]
-	refreshMu    sync.Mutex // single-flight guard for recomputation
-	hits, misses atomic.Int64
-}
-
-// now returns the stream-relative timestamp for wall-clock decay,
-// captured at sequencing time.
-func (b *decayedBackend) now() float64 {
-	return b.base + time.Since(b.epoch).Seconds()
-}
-
-func (b *decayedBackend) addBatch(wps []geom.Weighted) {
-	if b.wall {
-		b.sh.AddBatchWall(b.now(), wps)
-	} else {
-		b.sh.AddBatch(wps)
-	}
-}
-
-func (b *decayedBackend) AddBatch(pts [][]float64) {
-	if len(pts) == 0 {
-		return
-	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	b.addBatch(wps)
-}
-
-func (b *decayedBackend) AddWeighted(p []float64, w float64) {
-	b.addBatch([]geom.Weighted{{P: geom.Point(p), W: w}})
-}
-
-func (b *decayedBackend) Centers() [][]float64 {
-	return b.CentersContext(context.Background())
-}
-
-// CentersContext is Centers carrying the request context, so the
-// shard-merge stage of a cache-miss recomputation lands in the request's
-// trace span.
-func (b *decayedBackend) CentersContext(ctx context.Context) [][]float64 {
-	n := b.sh.Count()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		b.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	b.misses.Add(1)
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-func (b *decayedBackend) Refresh() [][]float64 {
-	return b.RefreshContext(context.Background())
-}
-
-// RefreshContext recomputes the centers unconditionally, replacing the
-// cache; the merge is staged into ctx's trace span.
-func (b *decayedBackend) RefreshContext(ctx context.Context) [][]float64 {
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-// refreshLocked gathers and rescales the lane views (the shard-merge
-// trace stage), runs the query k-means over the union, and installs the
-// new cache entry, stamped with the arrivals the union covers. Caller
-// holds refreshMu.
-func (b *decayedBackend) refreshLocked(ctx context.Context) []Point {
-	done := trace.FromContext(ctx).StartStage("shard-merge")
-	union, count := b.sh.Gather()
-	done()
-	return storeCenters(&b.cache, b.sh.CoresetCenters(union), count).centers
-}
-
-func (b *decayedBackend) CacheStats() (hits, misses int64) {
-	return b.hits.Load(), b.misses.Load()
-}
-
-func (b *decayedBackend) Count() int64 { return b.sh.Count() }
-
-func (b *decayedBackend) PointsStored() int { return b.sh.PointsStored() }
-
-func (b *decayedBackend) Name() string { return b.sh.Name() }
-
-func (b *decayedBackend) NumShards() int { return b.sh.NumLanes() }
-
-func (b *decayedBackend) Spec() BackendSpec { return b.spec }
-
-// Snapshot quiesces every lane — the sequencer cursors and all per-lane
-// summaries captured under one global lock ladder, so acked == stored —
-// and writes a v4 typed envelope of per-lane sub-envelopes.
-func (b *decayedBackend) Snapshot(w io.Writer) error {
-	return b.sh.Quiesce(func(shards []*decay.Shard, clock, rr, count int64) error {
-		var elapsed float64
-		if b.wall {
-			// Read inside the quiesce: every applied batch's timestamp
-			// precedes it, so the restored clock can never run behind a
-			// stored point.
-			elapsed = b.now()
-		}
-		sss, dim, err := persist.SnapshotDecayedShards(shards)
-		if err != nil {
-			return err
-		}
-		if dim == 0 {
-			dim = b.spec.Dim
-		}
-		return persist.Save(w, persist.Envelope{Kind: persist.KindBackend, Backend: &persist.BackendSnapshot{
-			Type:             persist.BackendDecayed,
-			Algo:             string(b.spec.Algo),
-			K:                b.spec.K,
-			Dim:              dim,
-			Shards:           len(shards),
-			HalfLife:         b.spec.HalfLife,
-			HalfLifeSeconds:  b.spec.HalfLifeSeconds,
-			Count:            count,
-			Clock:            clock,
-			RR:               rr,
-			ElapsedSeconds:   elapsed,
-			PointsPerSec:     b.spec.PointsPerSec,
-			BytesPerSec:      b.spec.BytesPerSec,
-			MaxResidentBytes: b.spec.MaxResidentBytes,
-			DecayedShards:    sss,
-		}})
-	})
-}
-
-// windowedBackend serves the sharded sliding-window pipeline: sequencing
-// assigns global arrival indices, per-lane exponential histograms absorb
-// the batches in parallel, and queries expire every lane against the
-// global clock before unioning the lane coresets — behind the same
-// cached-centers single-flight fast path as Concurrent. Expiry is keyed
-// to arrival order, not wall-clock time, so count-based cache freshness
-// is exact here too.
-type windowedBackend struct {
-	spec  BackendSpec
-	sh    *window.Sharded
-	alpha float64
-
-	cache        atomic.Pointer[centersSnapshot]
-	refreshMu    sync.Mutex // single-flight guard for recomputation
-	hits, misses atomic.Int64
-}
-
-func (b *windowedBackend) AddBatch(pts [][]float64) {
-	if len(pts) == 0 {
-		return
-	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	b.sh.AddBatch(wps)
-}
-
-func (b *windowedBackend) AddWeighted(p []float64, w float64) {
-	b.sh.AddBatch([]geom.Weighted{{P: geom.Point(p), W: w}})
-}
-
-func (b *windowedBackend) Centers() [][]float64 {
-	return b.CentersContext(context.Background())
-}
-
-// CentersContext is Centers carrying the request context for trace
-// staging, as for decayedBackend.
-func (b *windowedBackend) CentersContext(ctx context.Context) [][]float64 {
-	n := b.sh.Count()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		b.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	b.misses.Add(1)
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	if snap := b.cache.Load(); snap != nil && fresh(n, snap.count, b.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-func (b *windowedBackend) Refresh() [][]float64 {
-	return b.RefreshContext(context.Background())
-}
-
-// RefreshContext recomputes the centers unconditionally, replacing the
-// cache; the merge is staged into ctx's trace span.
-func (b *windowedBackend) RefreshContext(ctx context.Context) [][]float64 {
-	b.refreshMu.Lock()
-	defer b.refreshMu.Unlock()
-	return clonePoints(b.refreshLocked(ctx))
-}
-
-// refreshLocked expires and unions the lane coresets (the shard-merge
-// trace stage), runs the query k-means, and installs the new cache
-// entry. Caller holds refreshMu.
-func (b *windowedBackend) refreshLocked(ctx context.Context) []Point {
-	count := b.sh.Count()
-	done := trace.FromContext(ctx).StartStage("shard-merge")
-	union := b.sh.Coreset()
-	done()
-	return storeCenters(&b.cache, b.sh.CoresetCenters(union), count).centers
-}
-
-func (b *windowedBackend) CacheStats() (hits, misses int64) {
-	return b.hits.Load(), b.misses.Load()
-}
-
-func (b *windowedBackend) Count() int64 { return b.sh.Count() }
-
-func (b *windowedBackend) PointsStored() int { return b.sh.PointsStored() }
-
-func (b *windowedBackend) Name() string { return b.sh.Name() }
-
-func (b *windowedBackend) NumShards() int { return b.sh.NumLanes() }
-
-func (b *windowedBackend) Spec() BackendSpec { return b.spec }
-
-// Snapshot quiesces every lane and writes a v4 typed envelope of
-// per-lane window snapshots plus the sequencer cursors.
-func (b *windowedBackend) Snapshot(w io.Writer) error {
-	return b.sh.Quiesce(func(subs []*window.Clusterer, clock, rr, count int64) error {
-		wss := make([]window.Snapshot, len(subs))
-		dim := 0
-		for i, wc := range subs {
-			wss[i] = wc.Snapshot()
-			if dim == 0 {
-				dim = wc.Dim()
-			}
-		}
-		if dim == 0 {
-			dim = b.spec.Dim
-		}
-		return persist.Save(w, persist.Envelope{Kind: persist.KindBackend, Backend: &persist.BackendSnapshot{
-			Type:             persist.BackendWindowed,
-			K:                b.spec.K,
-			Dim:              dim,
-			Shards:           len(subs),
-			WindowN:          b.spec.WindowN,
-			Count:            count,
-			Clock:            clock,
-			RR:               rr,
-			PointsPerSec:     b.spec.PointsPerSec,
-			BytesPerSec:      b.spec.BytesPerSec,
-			MaxResidentBytes: b.spec.MaxResidentBytes,
-			WindowShards:     wss,
-		}})
-	})
-}
-
-// pointsOut converts internal points to caller-owned [][]float64 copies.
-func pointsOut(cs []geom.Point) [][]float64 {
-	out := make([][]float64, len(cs))
-	for i, c := range cs {
-		out[i] = append([]float64(nil), c...)
-	}
-	return out
 }

@@ -25,6 +25,27 @@ func shardedSpecs() map[string]BackendSpec {
 	}
 }
 
+// laneSpecs are the Open specs of every lane-backend variant.
+func laneSpecs() map[string]BackendSpec {
+	specs := shardedSpecs()
+	specs["concurrent"] = BackendSpec{Type: BackendConcurrent, Algo: AlgoCC, K: 3, Shards: 4}
+	specs["concurrent-quota"] = BackendSpec{Type: BackendConcurrent, Algo: AlgoCC, K: 3, Shards: 4, PointsPerSec: 1000}
+	return specs
+}
+
+// laneBackendOf returns the lane backend behind a backend Open built.
+func laneBackendOf(t *testing.T, b Backend) *laneBackend {
+	t.Helper()
+	switch lb := b.(type) {
+	case *Concurrent:
+		return &lb.laneBackend
+	case *laneBackend:
+		return lb
+	}
+	t.Fatalf("%T is not a lane backend", b)
+	return nil
+}
+
 func numShards(t *testing.T, b Backend) int {
 	t.Helper()
 	s, ok := b.(interface{ NumShards() int })
@@ -210,8 +231,8 @@ func TestDecayedRefreshDoesNotWaitForLaneLocks(t *testing.T) {
 			for i := 0; i < len(pts); i += 100 {
 				b.AddBatch(pts[i : i+100])
 			}
-			db := b.(*decayedBackend)
-			err = db.sh.Quiesce(func([]*decay.Shard, int64, int64, int64) error {
+			db := laneBackendOf(t, b)
+			err = db.lanes.(*decayedLanes).Quiesce(func([]*decay.Shard, int64, int64, int64) error {
 				done := make(chan [][]float64)
 				go func() { done <- db.Refresh() }()
 				select {
@@ -231,18 +252,19 @@ func TestDecayedRefreshDoesNotWaitForLaneLocks(t *testing.T) {
 	}
 }
 
-// TestDecayedRefreshCoversCount races AddBatch producers (arrival-count
-// and wall-clock decay) against Refresh: every cache entry covers at
-// least the count read before its refresh, and the last one covers every
-// arrival. Run with -race -count=10.
+// TestDecayedRefreshCoversCount races AddBatch producers against Refresh
+// on every lane-backend variant (decayed with arrival-count and
+// wall-clock decay among them): every cache entry covers at least the
+// count read before its refresh, and the last one covers every arrival.
+// Run with -race -count=10.
 func TestDecayedRefreshCoversCount(t *testing.T) {
-	for _, name := range []string{"decayed", "decayed-wall"} {
+	for name, spec := range laneSpecs() {
 		t.Run(name, func(t *testing.T) {
-			b, err := Open(shardedSpecs()[name], Config{BucketSize: 20, Seed: 4})
+			b, err := Open(spec, Config{BucketSize: 20, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			db := b.(*decayedBackend)
+			db := laneBackendOf(t, b)
 			var wg sync.WaitGroup
 			for p := 0; p < 3; p++ {
 				wg.Add(1)

@@ -3,9 +3,10 @@ package streamkm
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 
+	"streamkm/internal/core"
+	"streamkm/internal/coreset"
 	"streamkm/internal/geom"
 	"streamkm/internal/parallel"
 	"streamkm/internal/persist"
@@ -14,6 +15,7 @@ import (
 // Concurrent is a thread-safe streaming clusterer built for serving
 // traffic: many producer goroutines ingest concurrently while any number
 // of goroutines query Centers, with neither side serializing the other.
+// It is the concurrent backend Open builds for BackendConcurrent specs.
 //
 // Ingest is sharded P ways (the paper's Section 6 open question on
 // parallel streams, resolved by the coreset union property: the union of
@@ -38,33 +40,12 @@ import (
 // previous query are reused until the stream has grown by more than a
 // factor Alpha since they were computed — the same cost-staleness idea
 // OnlineCC (Algorithm 7) uses to answer most queries in O(1). A stale
-// cache triggers exactly one recomputation (single-flight); concurrent
-// queries keep being served the previous centers meanwhile, so query
-// latency stays flat under heavy read traffic.
+// cache triggers exactly one recomputation (single-flight): queries that
+// find the cache stale meanwhile wait for that recomputation and return
+// its result rather than starting their own.
 type Concurrent struct {
-	inner *parallel.Sharded
-	k     int
-	alpha float64
-	algo  Algo
-	dim   int // dimension recorded in the snapshot this was restored from; 0 otherwise
-
-	cache atomic.Pointer[centersSnapshot]
-
-	refreshMu sync.Mutex // single-flight guard for recomputation
-
-	hits, misses atomic.Int64
-
-	// refreshed, when set, sees every refresh's union and the cache entry
-	// stamped from it (a test hook; nil otherwise).
-	refreshed func(union []geom.Weighted, entry *centersSnapshot)
-}
-
-// centersSnapshot is one immutable cache entry: the centers computed by a
-// query and the number of points the union they were computed from
-// covers.
-type centersSnapshot struct {
-	centers []Point
-	count   int64
+	laneBackend
+	sh *parallel.Sharded
 }
 
 // NewConcurrent creates a thread-safe clusterer with p ingest shards.
@@ -84,11 +65,43 @@ func NewConcurrent(algo Algo, p int, cfg Config) (*Concurrent, error) {
 	default:
 		return nil, fmt.Errorf("streamkm: Concurrent supports CT, CC and RCC, not %q", algo)
 	}
-	inner, err := newShardedInner(p, algo, cfg)
+	b, err := cfg.builder()
 	if err != nil {
 		return nil, err
 	}
-	return &Concurrent{inner: inner, k: cfg.K, alpha: cfg.Alpha, algo: algo}, nil
+	sh, err := parallel.NewSharded(p, cfg.K, cfg.Seed, cfg.queryOptions(), driverFactory(algo, cfg, b))
+	if err != nil {
+		return nil, err
+	}
+	spec := BackendSpec{Type: BackendConcurrent, Algo: algo, K: cfg.K, Shards: p}
+	return newConcurrent(spec, sh, cfg.Alpha), nil
+}
+
+// newConcurrent serves sh behind the cached-centers fast path.
+func newConcurrent(spec BackendSpec, sh *parallel.Sharded, alpha float64) *Concurrent {
+	c := &Concurrent{sh: sh}
+	c.spec, c.lanes, c.alpha = spec, concurrentLanes{sh}, alpha
+	return c
+}
+
+// driverFactory builds the per-lane driver constructor for CT, CC and
+// RCC lanes, concurrent and decayed alike: each lane gets its own
+// structure and rng from its lane-specific seed. cfg must already carry
+// defaults and algo must be CT, CC or RCC.
+func driverFactory(algo Algo, cfg Config, b coreset.Builder) func(lane int, seed int64) *core.Driver {
+	return func(_ int, seed int64) *core.Driver {
+		rng := rand.New(rand.NewSource(seed))
+		var s core.Structure
+		switch algo {
+		case AlgoCT:
+			s = core.NewCT(cfg.MergeDegree, cfg.BucketSize, b, rng)
+		case AlgoCC:
+			s = core.NewCC(cfg.MergeDegree, cfg.BucketSize, b, rng)
+		default:
+			s = core.NewRCC(cfg.RCCOrder, cfg.BucketSize, b, rng)
+		}
+		return core.NewDriver(s, cfg.K, cfg.BucketSize, rng, cfg.queryOptions())
+	}
 }
 
 // MustNewConcurrent is NewConcurrent that panics on configuration errors.
@@ -103,189 +116,28 @@ func MustNewConcurrent(algo Algo, p int, cfg Config) *Concurrent {
 // Add observes one point, routing it round-robin across shards. Safe for
 // concurrent use; producers that can pin a shard should prefer AddTo.
 func (c *Concurrent) Add(p Point) {
-	c.inner.Add(geom.Point(p))
-}
-
-// AddWeighted observes one weighted point, routed round-robin.
-func (c *Concurrent) AddWeighted(p Point, w float64) {
-	c.inner.AddWeighted(geom.Weighted{P: geom.Point(p), W: w})
+	c.sh.Add(geom.Point(p))
 }
 
 // AddTo feeds one point to a specific shard (0 <= shard < NumShards).
 // One producer goroutine per shard is the contention-free discipline.
 func (c *Concurrent) AddTo(shard int, p Point) {
-	c.inner.AddTo(shard, geom.Point(p))
+	c.sh.AddTo(shard, geom.Point(p))
 }
-
-// AddBatch observes a batch of points under a single shard lock
-// acquisition — the preferred ingest path for networked producers.
-// Successive batches rotate round-robin across shards.
-func (c *Concurrent) AddBatch(pts []Point) {
-	if len(pts) == 0 {
-		return
-	}
-	wps := make([]geom.Weighted, len(pts))
-	for i, p := range pts {
-		wps[i] = geom.Weighted{P: geom.Point(p), W: 1}
-	}
-	c.inner.AddBatchTo(c.inner.NextShard(), wps)
-}
-
-// Centers returns k cluster centers for everything observed so far. Safe
-// for concurrent use with all ingest methods. If centers computed by an
-// earlier query are still fresh (stream grown by at most a factor Alpha
-// since), they are returned without touching the shards; otherwise one
-// caller recomputes while any concurrent queries continue to be served
-// the previous centers. The returned slices are copies owned by the
-// caller.
-func (c *Concurrent) Centers() []Point {
-	n := c.inner.Count()
-	if snap := c.cache.Load(); snap != nil && fresh(n, snap.count, c.alpha) {
-		c.hits.Add(1)
-		return clonePoints(snap.centers)
-	}
-	c.misses.Add(1)
-	return c.recompute()
-}
-
-// Refresh recomputes the centers unconditionally, replaces the cache, and
-// returns them. Use it when an up-to-the-last-point answer matters more
-// than latency.
-func (c *Concurrent) Refresh() []Point {
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	return clonePoints(c.refreshLocked())
-}
-
-// recompute is the single-flight slow path: the first goroutine to find
-// the cache stale recomputes; goroutines that queue behind it re-check on
-// wake and reuse its result instead of recomputing again.
-func (c *Concurrent) recompute() []Point {
-	n := c.inner.Count()
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	if snap := c.cache.Load(); snap != nil && fresh(n, snap.count, c.alpha) {
-		return clonePoints(snap.centers)
-	}
-	return clonePoints(c.refreshLocked())
-}
-
-// refreshLocked unions the shard views, runs k-means++, and installs the
-// new cache entry, stamped with the count the union covers. Caller holds
-// refreshMu.
-func (c *Concurrent) refreshLocked() []Point {
-	union, count := c.inner.Gather()
-	entry := storeCenters(&c.cache, c.inner.CoresetCenters(union), count)
-	if c.refreshed != nil {
-		c.refreshed(union, entry)
-	}
-	return entry.centers
-}
-
-// storeCenters installs centers computed from a union that covers count
-// points as cache's entry, and returns the entry.
-func storeCenters(cache *atomic.Pointer[centersSnapshot], cs []geom.Point, count int64) *centersSnapshot {
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	entry := &centersSnapshot{centers: centers, count: count}
-	cache.Store(entry)
-	return entry
-}
-
-// fresh reports whether a cache entry computed at count `cached` still
-// answers a query arriving at count `now` under staleness threshold
-// alpha. An entry computed on an empty stream is only fresh while the
-// stream is still empty.
-func fresh(now, cached int64, alpha float64) bool {
-	if cached == 0 {
-		return now == 0
-	}
-	return float64(now) <= alpha*float64(cached)
-}
-
-// clonePoints deep-copies centers so callers can never corrupt the shared
-// cache entry.
-func clonePoints(pts []Point) []Point {
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = append([]float64(nil), p...)
-	}
-	return out
-}
-
-// Count returns the number of points observed so far (one atomic load).
-func (c *Concurrent) Count() int64 { return c.inner.Count() }
-
-// NumShards returns the ingest shard count.
-func (c *Concurrent) NumShards() int { return c.inner.NumShards() }
 
 // K returns the number of centers answered by queries.
-func (c *Concurrent) K() int { return c.k }
-
-// PointsStored sums shard memory in points (Table 4 metric).
-func (c *Concurrent) PointsStored() int { return c.inner.PointsStored() }
-
-// Name identifies the algorithm, e.g. "Sharded[8xCC]".
-func (c *Concurrent) Name() string { return c.inner.Name() }
-
-// CacheStats reports how many Centers calls were answered from the
-// cached-centers fast path (hits) versus recomputed (misses).
-func (c *Concurrent) CacheStats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *Concurrent) K() int { return c.spec.K }
 
 // Algo returns the per-shard summary structure (AlgoCT, AlgoCC or
 // AlgoRCC) this clusterer was built — or restored — with.
-func (c *Concurrent) Algo() Algo { return c.algo }
+func (c *Concurrent) Algo() Algo { return c.spec.Algo }
 
 // Dim returns the point dimension recorded in the snapshot this clusterer
-// was restored from, or 0 for a fresh instance (the clusterer itself is
-// dimension-agnostic; the serving layer tracks dimension). A daemon
-// restoring a checkpoint uses it to validate its -dim flag.
-func (c *Concurrent) Dim() int { return c.dim }
-
-// Snapshot serializes the clusterer's complete logical state to w as one
-// versioned, checksummed sharded envelope: all per-shard summaries, the
-// round-robin routing cursor, and the cached-centers entry (so a restored
-// instance answers its first queries from the same cache). The shards are
-// quiesced for the duration — concurrent ingest blocks briefly, queries
-// on the cached fast path keep being served — making the snapshot an
-// exactly consistent cut of the stream. Safe for concurrent use.
-func (c *Concurrent) Snapshot(w io.Writer) error {
-	env, err := c.snapshotEnvelope()
-	if err != nil {
-		return err
-	}
-	return persist.Save(w, env)
-}
-
-// snapshotEnvelope builds the quiesced KindSharded envelope Snapshot
-// writes. The quota-carrying backend wrapper reuses it as the payload
-// of a v3 typed envelope.
-func (c *Concurrent) snapshotEnvelope() (persist.Envelope, error) {
-	// refreshMu orders the snapshot against cache refreshes: both take
-	// refreshMu before any shard lock, so the cache entry written below
-	// can never be newer than the quiesced shard state.
-	c.refreshMu.Lock()
-	defer c.refreshMu.Unlock()
-	env, err := persist.SnapshotSharded(c.inner)
-	if err != nil {
-		return persist.Envelope{}, err
-	}
-	s := env.Sharded
-	s.Alpha = c.alpha
-	if snap := c.cache.Load(); snap != nil {
-		s.HasCache = true
-		s.CachedCount = snap.count
-		s.CachedCenters = make([][]float64, len(snap.centers))
-		for i, p := range snap.centers {
-			s.CachedCenters[i] = append([]float64(nil), p...)
-		}
-	}
-	return env, nil
-}
+// was restored from (or passed to Open), or 0 for a fresh instance (the
+// clusterer itself is dimension-agnostic; the serving layer tracks
+// dimension). A daemon restoring a checkpoint uses it to validate its
+// -dim flag.
+func (c *Concurrent) Dim() int { return c.spec.Dim }
 
 // NewConcurrentFromSnapshot reconstructs a Concurrent previously written
 // by Snapshot, resuming with every ingested point's weight intact. cfg
@@ -302,14 +154,14 @@ func NewConcurrentFromSnapshot(r io.Reader, cfg Config) (*Concurrent, error) {
 	if env.Kind != persist.KindSharded {
 		return nil, fmt.Errorf("streamkm: snapshot holds a single %q clusterer, not a sharded one (use Load)", env.Kind)
 	}
-	return concurrentFromSharded(env, cfg)
+	return concurrentFromSharded(env.Sharded, cfg)
 }
 
 // concurrentFromSharded rebuilds a Concurrent from an already-loaded
-// KindSharded envelope — shared by NewConcurrentFromSnapshot and the
-// spec-driven Restore factory (which also accepts the envelope wrapped in
-// a v3 backend envelope).
-func concurrentFromSharded(env persist.Envelope, cfg Config) (*Concurrent, error) {
+// sharded snapshot — shared by NewConcurrentFromSnapshot and the
+// spec-driven Restore factory (which also accepts it wrapped in a v3
+// backend envelope).
+func concurrentFromSharded(s *persist.ShardedSnapshot, cfg Config) (*Concurrent, error) {
 	userAlpha := cfg.Alpha
 	// Validate only the fields actually used; a zero Config is fine.
 	cfg.K = 1
@@ -321,11 +173,10 @@ func concurrentFromSharded(env persist.Envelope, cfg Config) (*Concurrent, error
 	if err != nil {
 		return nil, err
 	}
-	inner, err := persist.RestoreSharded(env, cfg.Seed, b, cfg.queryOptions())
+	sh, err := persist.RestoreSharded(persist.Envelope{Kind: persist.KindSharded, Sharded: s}, cfg.Seed, b, cfg.queryOptions())
 	if err != nil {
 		return nil, err
 	}
-	s := env.Sharded
 	alpha := s.Alpha
 	if userAlpha != 0 {
 		alpha = userAlpha
@@ -333,19 +184,10 @@ func concurrentFromSharded(env persist.Envelope, cfg Config) (*Concurrent, error
 	if alpha <= 1 {
 		alpha = 1.2 // snapshot predates alpha capture; fall back to the default
 	}
-	c := &Concurrent{
-		inner: inner,
-		k:     s.K,
-		alpha: alpha,
-		algo:  Algo(s.Shards[0].Kind),
-		dim:   s.Dim,
-	}
+	spec := BackendSpec{Type: BackendConcurrent, Algo: Algo(s.Shards[0].Kind), K: s.K, Dim: s.Dim, Shards: len(s.Shards)}
+	c := newConcurrent(spec, sh, alpha)
 	if s.HasCache {
-		centers := make([]Point, len(s.CachedCenters))
-		for i, p := range s.CachedCenters {
-			centers[i] = append([]float64(nil), p...)
-		}
-		c.cache.Store(&centersSnapshot{centers: centers, count: s.CachedCount})
+		c.cache.Store(&centersSnapshot{centers: clonePoints(s.CachedCenters), count: s.CachedCount})
 	}
 	return c, nil
 }

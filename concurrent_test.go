@@ -1,6 +1,7 @@
 package streamkm
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,72 +65,148 @@ func TestMustNewConcurrentPanics(t *testing.T) {
 	MustNewConcurrent(AlgoSequential, 2, Config{K: 3})
 }
 
-// TestConcurrentCacheFastPath pins the OnlineCC-style serving behavior:
-// repeated queries against an unchanged (or barely-grown) stream are
-// answered from the cache, and growth past Alpha invalidates it.
+// TestConcurrentCacheFastPath pins the OnlineCC-style serving behavior
+// on every lane-backend variant: repeated queries against an unchanged
+// (or barely-grown) stream are answered from the cache, and growth past
+// Alpha invalidates it.
 func TestConcurrentCacheFastPath(t *testing.T) {
 	pts := mixturePoints(2000, 11)
-	c := MustNewConcurrent(AlgoCC, 2, Config{K: 3, Alpha: 1.5})
-	c.AddBatch(pts[:1000])
-
-	first := c.Centers()
-	if hits, misses := c.CacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("after first query: hits=%d misses=%d", hits, misses)
-	}
-	second := c.Centers() // unchanged stream: must be a hit
-	if hits, _ := c.CacheStats(); hits != 1 {
-		t.Fatalf("second query on unchanged stream did not hit the cache")
-	}
-	for i := range first {
-		for j := range first[i] {
-			if first[i][j] != second[i][j] {
-				t.Fatal("cached centers differ from computed centers")
+	for name, spec := range laneSpecs() {
+		t.Run(name, func(t *testing.T) {
+			b, err := Open(spec, Config{Alpha: 1.5})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// A caller mutating its copy must not corrupt the cache.
-	second[0][0] = 1e9
-	third := c.Centers()
-	if third[0][0] == 1e9 {
-		t.Fatal("cache entry aliased into caller's slice")
-	}
+			c := laneBackendOf(t, b)
+			c.AddBatch(pts[:1000])
 
-	c.AddBatch(pts[1000:1400]) // 1400 <= 1.5*1000: still fresh
-	c.Centers()
-	if _, misses := c.CacheStats(); misses != 1 {
-		t.Fatalf("query within staleness bound recomputed (misses=%d)", misses)
-	}
-	c.AddBatch(pts[1400:2000]) // 2000 > 1.5*1000: stale
-	c.Centers()
-	if _, misses := c.CacheStats(); misses != 2 {
-		t.Fatalf("query past staleness bound did not recompute (misses=%d)", misses)
+			first := c.Centers()
+			if hits, misses := c.CacheStats(); hits != 0 || misses != 1 {
+				t.Fatalf("after first query: hits=%d misses=%d", hits, misses)
+			}
+			second := c.Centers() // unchanged stream: must be a hit
+			if hits, _ := c.CacheStats(); hits != 1 {
+				t.Fatalf("second query on unchanged stream did not hit the cache")
+			}
+			for i := range first {
+				for j := range first[i] {
+					if first[i][j] != second[i][j] {
+						t.Fatal("cached centers differ from computed centers")
+					}
+				}
+			}
+			// A caller mutating its copy must not corrupt the cache.
+			second[0][0] = 1e9
+			third := c.Centers()
+			if third[0][0] == 1e9 {
+				t.Fatal("cache entry aliased into caller's slice")
+			}
+
+			c.AddBatch(pts[1000:1400]) // 1400 <= 1.5*1000: still fresh
+			c.Centers()
+			if _, misses := c.CacheStats(); misses != 1 {
+				t.Fatalf("query within staleness bound recomputed (misses=%d)", misses)
+			}
+			c.AddBatch(pts[1400:2000]) // 2000 > 1.5*1000: stale
+			c.Centers()
+			if _, misses := c.CacheStats(); misses != 2 {
+				t.Fatalf("query past staleness bound did not recompute (misses=%d)", misses)
+			}
+		})
 	}
 }
 
 func TestConcurrentRefreshBypassesCache(t *testing.T) {
-	c := MustNewConcurrent(AlgoCC, 2, Config{K: 2, BucketSize: 20})
-	c.AddBatch(mixturePoints(200, 12))
-	c.Centers()
-	hits0, _ := c.CacheStats()
-	if got := c.Refresh(); len(got) != 2 {
-		t.Fatalf("Refresh returned %d centers", len(got))
-	}
-	// Refresh installs a new entry; the next query must hit it.
-	c.Centers()
-	if hits, _ := c.CacheStats(); hits != hits0+1 {
-		t.Fatalf("query after Refresh missed the cache")
+	for name, spec := range laneSpecs() {
+		t.Run(name, func(t *testing.T) {
+			spec.K = 2
+			b, err := Open(spec, Config{BucketSize: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := laneBackendOf(t, b)
+			c.AddBatch(mixturePoints(200, 12))
+			c.Centers()
+			hits0, _ := c.CacheStats()
+			if got := c.Refresh(); len(got) != 2 {
+				t.Fatalf("Refresh returned %d centers", len(got))
+			}
+			// Refresh installs a new entry; the next query must hit it.
+			c.Centers()
+			if hits, _ := c.CacheStats(); hits != hits0+1 {
+				t.Fatalf("query after Refresh missed the cache")
+			}
+		})
 	}
 }
 
 func TestConcurrentEmptyStream(t *testing.T) {
-	c := MustNewConcurrent(AlgoRCC, 3, Config{K: 5})
-	if got := c.Centers(); len(got) != 0 {
-		t.Fatalf("empty stream returned %d centers", len(got))
+	for name, spec := range laneSpecs() {
+		t.Run(name, func(t *testing.T) {
+			spec.K = 5
+			if spec.Algo != "" {
+				spec.Algo = AlgoRCC
+			}
+			c, err := Open(spec, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Centers(); len(got) != 0 {
+				t.Fatalf("empty stream returned %d centers", len(got))
+			}
+			// The empty answer must not be served once points exist.
+			c.AddBatch(mixturePoints(500, 13))
+			if got := c.Centers(); len(got) != 5 {
+				t.Fatalf("after ingest got %d centers, want 5", len(got))
+			}
+		})
 	}
-	// The empty answer must not be served once points exist.
-	c.AddBatch(mixturePoints(500, 13))
-	if got := c.Centers(); len(got) != 5 {
-		t.Fatalf("after ingest got %d centers, want 5", len(got))
+}
+
+// TestCentersSingleFlight: queries that find the cache stale at once
+// share one recomputation. Run with -race -count=10.
+func TestCentersSingleFlight(t *testing.T) {
+	const queries = 8
+	for name, spec := range laneSpecs() {
+		t.Run(name, func(t *testing.T) {
+			b, err := Open(spec, Config{BucketSize: 20, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := laneBackendOf(t, b)
+			c.AddBatch(mixturePoints(100, 14))
+			c.Centers()
+			c.AddBatch(mixturePoints(1000, 15)) // the entry is now stale
+			var recomputes atomic.Int64
+			c.refreshed = func([]geom.Weighted, *centersSnapshot) { recomputes.Add(1) }
+			hits0, misses0 := c.CacheStats()
+
+			start := make(chan struct{})
+			got := make([][]Point, queries)
+			var wg sync.WaitGroup
+			for q := range got {
+				wg.Add(1)
+				go func(q int) {
+					defer wg.Done()
+					<-start
+					got[q] = c.Centers()
+				}(q)
+			}
+			close(start)
+			wg.Wait()
+
+			if n := recomputes.Load(); n != 1 {
+				t.Fatalf("%d recomputations for %d concurrent stale queries, want 1", n, queries)
+			}
+			for q := range got {
+				if !reflect.DeepEqual(got[q], got[0]) {
+					t.Fatalf("query %d got %v, query 0 got %v", q, got[q], got[0])
+				}
+			}
+			if hits, misses := c.CacheStats(); hits+misses != hits0+misses0+queries {
+				t.Fatalf("hits+misses rose from %d to %d, want +%d", hits0+misses0, hits+misses, queries)
+			}
+		})
 	}
 }
 
@@ -196,7 +273,7 @@ func TestConcurrentRefreshDoesNotWaitForLaneLocks(t *testing.T) {
 	for i := 0; i < len(pts); i += 100 {
 		c.AddBatch(pts[i : i+100])
 	}
-	err := c.inner.Quiesce(func([]*core.Driver, int64, int64) error {
+	err := c.sh.Quiesce(func([]*core.Driver, int64, int64) error {
 		done := make(chan []Point)
 		go func() { done <- c.Refresh() }()
 		select {
@@ -247,8 +324,8 @@ func TestConcurrentRefreshCoversCount(t *testing.T) {
 					return
 				default:
 				}
-				n := c.inner.Count()
-				if w := geom.TotalWeight(c.inner.CoresetUnion()); w < float64(n) {
+				n := c.sh.Count()
+				if w := geom.TotalWeight(c.sh.CoresetUnion()); w < float64(n) {
 					t.Errorf("gathered weight %v after reading count %d", w, n)
 					return
 				}
@@ -259,7 +336,7 @@ func TestConcurrentRefreshCoversCount(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	qwg.Wait()
-	if w := geom.TotalWeight(c.inner.CoresetUnion()); w != 2000+2*300 {
+	if w := geom.TotalWeight(c.sh.CoresetUnion()); w != 2000+2*300 {
 		t.Fatalf("final union weight %v, want %d", w, 2000+2*300)
 	}
 }

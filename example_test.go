@@ -86,18 +86,3 @@ func ExampleNewDecayed() {
 	// algorithm: Decay(CC)
 	// centers: 2
 }
-
-func ExampleNewSharded() {
-	s, err := streamkm.NewSharded(4, streamkm.AlgoCC, streamkm.Config{K: 3, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	for i, p := range exampleStream(4000) {
-		s.AddTo(i%4, p) // one producer per shard in real deployments
-	}
-	fmt.Println("algorithm:", s.Name())
-	fmt.Println("centers:", len(s.Centers()))
-	// Output:
-	// algorithm: Sharded[4xCC]
-	// centers: 3
-}

@@ -2,7 +2,7 @@
 //
 // Telemetry rarely arrives on one socket. This example runs four producer
 // goroutines — say, four collectors in different regions — each feeding its
-// own shard of a sharded clusterer. A monitoring goroutine issues global
+// own shard of a Concurrent clusterer. A monitoring goroutine issues global
 // clustering queries concurrently. Per the coreset union property
 // (Observation 1 in the paper), merging the shard summaries at query time
 // gives a valid coreset of the combined stream, so the global centers match
@@ -29,7 +29,7 @@ func main() {
 		perShard = 25000
 		k        = 5
 	)
-	s, err := streamkm.NewSharded(shards, streamkm.AlgoCC, streamkm.Config{K: k, Seed: 1})
+	s, err := streamkm.NewConcurrent(streamkm.AlgoCC, shards, streamkm.Config{K: k, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 	wg.Wait()
 	<-done
 
-	centers := s.Centers()
+	centers := s.Refresh() // an answer covering every point, not the cached one
 	fmt.Printf("\n%s consumed %d points across %d shards in %v\n",
 		s.Name(), shards*perShard, shards, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("memory: %d stored points total\n\nfinal centers:\n", s.PointsStored())

@@ -9,7 +9,6 @@ import (
 	"streamkm/internal/decay"
 	"streamkm/internal/geom"
 	"streamkm/internal/kmedian"
-	"streamkm/internal/parallel"
 	"streamkm/internal/persist"
 	"streamkm/internal/quality"
 )
@@ -20,16 +19,17 @@ import (
 //
 //   - snapshot/restore of live clusterer state (Save/Load);
 //   - streaming k-median via coreset caching (NewKMedian);
-//   - time-decayed weighting for concept drift (NewDecayed);
-//   - parallel/distributed streams (NewSharded).
+//   - time-decayed weighting for concept drift (NewDecayed).
+//
+// Parallel and distributed streams are served by Concurrent (AddTo routes
+// a point to a chosen shard).
 
 // Save serializes the clusterer's complete logical state to w in a
 // versioned, checksummed binary format. Only single-stream clusterers
-// created by New can be saved here; sharded clusterers write a sharded
+// created by New can be saved here; a Concurrent writes a sharded
 // envelope (one nested clusterer per shard plus routing metadata) via
-// Concurrent.Snapshot or ShardedClusterer.Snapshot instead. Randomness is
-// not captured: a restored clusterer continues with the seed passed to
-// Load.
+// Concurrent.Snapshot instead. Randomness is not captured: a restored
+// clusterer continues with the seed passed to Load.
 func Save(w io.Writer, c Clusterer) error {
 	wr, ok := c.(*wrapper)
 	if !ok {
@@ -45,9 +45,8 @@ func Save(w io.Writer, c Clusterer) error {
 // Load reconstructs a clusterer previously written by Save. cfg supplies
 // the non-serialized pieces (Seed, Builder, query options); its structural
 // fields (K, BucketSize, ...) are ignored in favor of the snapshot's.
-// Snapshots written by Concurrent.Snapshot or ShardedClusterer.Snapshot
-// carry a sharded envelope and are rejected here — restore those with
-// NewConcurrentFromSnapshot or NewShardedFromSnapshot.
+// Snapshots written by Concurrent.Snapshot carry a sharded envelope and
+// are rejected here — restore those with NewConcurrentFromSnapshot.
 func Load(r io.Reader, cfg Config) (Clusterer, error) {
 	// Validate only the fields Load actually uses; a zero Config is fine.
 	cfg.K = 1
@@ -171,133 +170,4 @@ func Evaluate(points []Point, centers []Point, seed int64) QualityReport {
 		ClusterSizes:  r.ClusterSizes,
 		EmptyClusters: r.EmptyClusters,
 	}
-}
-
-// NewSharded creates a clusterer over p parallel substreams, each with its
-// own independent summary structure (algo: AlgoCT, AlgoCC or AlgoRCC);
-// global queries merge the shard coresets (valid by the coreset union
-// property). AddTo on the returned *ShardedClusterer feeds a specific
-// shard and is safe for one goroutine per shard; Add routes round-robin.
-func NewSharded(p int, algo Algo, cfg Config) (*ShardedClusterer, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	switch algo {
-	case AlgoCT, AlgoCC, AlgoRCC:
-	default:
-		return nil, fmt.Errorf("streamkm: sharding supports CT, CC and RCC, not %q", algo)
-	}
-	sh, err := newShardedInner(p, algo, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedClusterer{inner: sh}, nil
-}
-
-// newShardedInner builds the parallel.Sharded backing both NewSharded and
-// NewConcurrent: p independent driver-based structures with per-shard
-// seeds. cfg must already carry defaults and algo must be CT, CC or RCC.
-func newShardedInner(p int, algo Algo, cfg Config) (*parallel.Sharded, error) {
-	b, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
-	return parallel.NewSharded(p, cfg.K, cfg.Seed, cfg.queryOptions(),
-		func(_ int, seed int64) *core.Driver {
-			rng := rand.New(rand.NewSource(seed))
-			var s core.Structure
-			switch algo {
-			case AlgoCT:
-				s = core.NewCT(cfg.MergeDegree, cfg.BucketSize, b, rng)
-			case AlgoCC:
-				s = core.NewCC(cfg.MergeDegree, cfg.BucketSize, b, rng)
-			default:
-				s = core.NewRCC(cfg.RCCOrder, cfg.BucketSize, b, rng)
-			}
-			return core.NewDriver(s, cfg.K, cfg.BucketSize, rng, cfg.queryOptions())
-		})
-}
-
-// ShardedClusterer clusters p parallel substreams. It satisfies Clusterer
-// (round-robin Add) and additionally exposes AddTo for explicit routing.
-// Unlike the single-stream clusterers, it is safe for concurrent use: one
-// goroutine per shard via AddTo, queries from any goroutine.
-type ShardedClusterer struct {
-	inner *parallel.Sharded
-}
-
-// Add routes one point round-robin across shards.
-func (s *ShardedClusterer) Add(p Point) { s.inner.Add(geom.Point(p)) }
-
-// AddWeighted routes one weighted point round-robin across shards.
-func (s *ShardedClusterer) AddWeighted(p Point, w float64) {
-	s.inner.AddWeighted(geom.Weighted{P: geom.Point(p), W: w})
-}
-
-// AddTo feeds one point to the given shard (0 <= shard < NumShards).
-func (s *ShardedClusterer) AddTo(shard int, p Point) { s.inner.AddTo(shard, geom.Point(p)) }
-
-// AddWeightedTo feeds one weighted point to the given shard.
-func (s *ShardedClusterer) AddWeightedTo(shard int, p Point, w float64) {
-	s.inner.AddWeightedTo(shard, geom.Weighted{P: geom.Point(p), W: w})
-}
-
-// NumShards returns the shard count.
-func (s *ShardedClusterer) NumShards() int { return s.inner.NumShards() }
-
-// Centers answers a global query over all shards.
-func (s *ShardedClusterer) Centers() []Point {
-	cs := s.inner.Centers()
-	out := make([]Point, len(cs))
-	for i, c := range cs {
-		out[i] = []float64(c)
-	}
-	return out
-}
-
-// PointsStored sums shard memory in points.
-func (s *ShardedClusterer) PointsStored() int { return s.inner.PointsStored() }
-
-// Name identifies the algorithm in reports.
-func (s *ShardedClusterer) Name() string { return s.inner.Name() }
-
-// Count returns the number of points observed across all shards.
-func (s *ShardedClusterer) Count() int64 { return s.inner.Count() }
-
-// Snapshot serializes the sharded clusterer's complete logical state to w
-// as one sharded envelope (all per-shard summaries plus the round-robin
-// cursor). The shards are quiesced for the duration, so the snapshot is a
-// consistent cut; safe to call while other goroutines ingest.
-func (s *ShardedClusterer) Snapshot(w io.Writer) error {
-	env, err := persist.SnapshotSharded(s.inner)
-	if err != nil {
-		return err
-	}
-	return persist.Save(w, env)
-}
-
-// NewShardedFromSnapshot reconstructs a ShardedClusterer previously
-// written by Snapshot (or by Concurrent.Snapshot — the cached-centers
-// metadata is simply unused). cfg supplies the non-serialized pieces as
-// for Load.
-func NewShardedFromSnapshot(r io.Reader, cfg Config) (*ShardedClusterer, error) {
-	cfg.K = 1
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	b, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
-	env, err := persist.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := persist.RestoreSharded(env, cfg.Seed, b, cfg.queryOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedClusterer{inner: inner}, nil
 }

@@ -171,8 +171,10 @@ func TestNewDecayed(t *testing.T) {
 	}
 }
 
-func TestNewSharded(t *testing.T) {
-	s, err := NewSharded(3, AlgoCC, Config{K: 3, BucketSize: 40})
+// TestConcurrentAddToShards: one producer per shard through AddTo, then
+// round-robin Add, both answer k centers of batch-comparable cost.
+func TestConcurrentAddToShards(t *testing.T) {
+	s, err := NewConcurrent(AlgoCC, 3, Config{K: 3, BucketSize: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestNewSharded(t *testing.T) {
 	}
 
 	// Round-robin Add also works.
-	s2, _ := NewSharded(2, AlgoCT, Config{K: 2})
+	s2, _ := NewConcurrent(AlgoCT, 2, Config{K: 2})
 	for _, p := range mixturePoints(200, 14) {
 		s2.Add(p)
 	}
@@ -216,13 +218,13 @@ func TestNewSharded(t *testing.T) {
 		t.Fatalf("round-robin: %d centers", got)
 	}
 
-	if _, err := NewSharded(0, AlgoCC, Config{K: 2}); err == nil {
+	if _, err := NewConcurrent(AlgoCC, 0, Config{K: 2}); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
-	if _, err := NewSharded(2, AlgoSequential, Config{K: 2}); err == nil {
+	if _, err := NewConcurrent(AlgoSequential, 2, Config{K: 2}); err == nil {
 		t.Fatal("sharding should reject Sequential")
 	}
-	if _, err := NewSharded(2, AlgoCC, Config{K: -1}); err == nil {
+	if _, err := NewConcurrent(AlgoCC, 2, Config{K: -1}); err == nil {
 		t.Fatal("sharding should validate config")
 	}
 }

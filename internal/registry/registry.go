@@ -885,7 +885,7 @@ func (r *Registry) Detach(id, newOwner string) (string, error) {
 		return e.path, nil
 	}
 	if e.path == "" {
-		return "", fmt.Errorf("registry: stream %q has no snapshot path; cannot detach", id)
+		return "", fmt.Errorf("%w: %q; cannot detach", ErrNoSnapshotPath, id)
 	}
 	if e.backend == nil {
 		if _, err := os.Stat(e.path); err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"streamkm"
 	"streamkm/internal/persist"
 	"streamkm/internal/registry"
+	"streamkm/internal/trace"
 )
 
 // streamkmRegistry wires a registry to real streamkm backends through the
@@ -486,5 +488,79 @@ func TestMultiIngestPointLimit413(t *testing.T) {
 	_, m := getJSON(t, ts.URL+"/streams/t/centers")
 	if m["count"].(float64) != body["ingested"].(float64) {
 		t.Fatalf("stream count %v != acknowledged %v", m["count"], body["ingested"])
+	}
+}
+
+// TestDetachWithoutSnapshotPath400: a daemon with nowhere to persist a
+// stream refuses to detach it as a client error naming the stream, as
+// POST /snapshot does, and the stream keeps serving.
+func TestDetachWithoutSnapshotPath400(t *testing.T) {
+	ts, _ := newMultiServer(t, registry.Config{}, MultiConfig{})
+	resp, err := http.Post(ts.URL+"/streams/t/ingest", "application/x-ndjson", strings.NewReader(ndjson(60, 2, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	resp, err = http.Post(ts.URL+"/streams/t/detach", "application/json", strings.NewReader(`{"owner":"http://elsewhere"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]interface{}
+	decodeJSON(t, resp, &body)
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `"t"`) {
+		t.Fatalf("detach without a snapshot path: %d %v, want 400 naming the stream", resp.StatusCode, body)
+	}
+	if resp, centers := getJSON(t, ts.URL+"/streams/t/centers"); resp.StatusCode != http.StatusOK || centers["count"].(float64) != 60 {
+		t.Fatalf("stream stopped serving after a refused detach: %d %v", resp.StatusCode, centers)
+	}
+}
+
+// TestRefreshRecordsShardMerge: a forced refresh on every lane-sharded
+// tenant records the shard-merge stage in its centers span.
+func TestRefreshRecordsShardMerge(t *testing.T) {
+	ts, m := newMultiServer(t, registry.Config{}, MultiConfig{})
+	for _, tc := range []struct{ id, spec string }{
+		{"cc", `{"algo":"CC","k":3}`},
+		{"rcc-quota", `{"algo":"RCC","k":3,"points_per_sec":1000000}`},
+		{"decayed", `{"backend":"decayed","algo":"CC","k":3,"half_life":500}`},
+		{"windowed", `{"backend":"windowed","k":3,"window_n":500}`},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			req, _ := http.NewRequest(http.MethodPut, ts.URL+"/streams/"+tc.id, strings.NewReader(tc.spec))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("PUT %s: status %d", tc.spec, resp.StatusCode)
+			}
+			resp, err = http.Post(ts.URL+"/streams/"+tc.id+"/ingest", "application/x-ndjson", strings.NewReader(ndjson(200, 2, 5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp, _ := getJSON(t, ts.URL+"/streams/"+tc.id+"/centers?refresh=1"); resp.StatusCode != http.StatusOK {
+				t.Fatalf("refresh: status %d", resp.StatusCode)
+			}
+			var spans []trace.SpanData
+			for deadline := time.Now().Add(5 * time.Second); len(spans) == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("centers span never recorded")
+				}
+				spans = m.Traces().Spans(trace.Filter{Stream: tc.id, Endpoint: "centers"})
+			}
+			var names []string
+			for _, st := range spans[0].Stages {
+				names = append(names, st.Name)
+			}
+			if !slices.Contains(names, "shard-merge") {
+				t.Fatalf("refresh recorded stages %v, want shard-merge among them", names)
+			}
+		})
 	}
 }

@@ -10,12 +10,29 @@ import (
 // verifies the restored instance carries every point, the same memory
 // footprint, the same algorithm, and a clustering of equivalent quality.
 func TestConcurrentSnapshotRoundTrip(t *testing.T) {
-	for _, algo := range []Algo{AlgoCT, AlgoCC, AlgoRCC} {
-		t.Run(string(algo), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		algo   Algo
+		shards int
+		add    bool // round-robin Add instead of AddBatch
+	}{
+		{"CT", AlgoCT, 3, false},
+		{"CC", AlgoCC, 3, false},
+		{"RCC", AlgoRCC, 3, false},
+		{"RCC-4-lanes-Add", AlgoRCC, 4, true},
+	} {
+		algo := tc.algo
+		t.Run(tc.name, func(t *testing.T) {
 			pts := mixturePoints(3000, 21)
-			c := MustNewConcurrent(algo, 3, Config{K: 3, BucketSize: 30, Seed: 9})
+			c := MustNewConcurrent(algo, tc.shards, Config{K: 3, BucketSize: 30, Seed: 9})
 			for i := 0; i < len(pts); i += 50 {
-				c.AddBatch(pts[i : i+50])
+				if !tc.add {
+					c.AddBatch(pts[i : i+50])
+					continue
+				}
+				for _, p := range pts[i : i+50] {
+					c.Add(p)
+				}
 			}
 			pre := c.Centers() // warm the cache so it is snapshotted too
 
@@ -103,40 +120,6 @@ func TestConcurrentSnapshotPreservesWeights(t *testing.T) {
 	}
 }
 
-// TestShardedClustererSnapshotRoundTrip covers the explicit-routing
-// variant, including restoration of the round-robin cursor (the next Add
-// must land on the shard after the last pre-snapshot one).
-func TestShardedClustererSnapshotRoundTrip(t *testing.T) {
-	s, err := NewSharded(4, AlgoRCC, Config{K: 3, BucketSize: 30, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := mixturePoints(1500, 8)
-	for _, p := range pts {
-		s.Add(p)
-	}
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewShardedFromSnapshot(&buf, Config{Seed: 91})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Count() != s.Count() {
-		t.Errorf("Count %d, want %d", r.Count(), s.Count())
-	}
-	if r.PointsStored() != s.PointsStored() {
-		t.Errorf("PointsStored %d, want %d", r.PointsStored(), s.PointsStored())
-	}
-	if r.NumShards() != 4 || r.Name() != s.Name() {
-		t.Errorf("identity shards=%d name=%s", r.NumShards(), r.Name())
-	}
-	if got := len(r.Centers()); got != 3 {
-		t.Errorf("%d centers, want 3", got)
-	}
-}
-
 // TestSnapshotKindMismatch: single-clusterer snapshots and sharded
 // snapshots must not cross-restore.
 func TestSnapshotKindMismatch(t *testing.T) {
@@ -151,9 +134,6 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	if _, err := NewConcurrentFromSnapshot(bytes.NewReader(buf.Bytes()), Config{}); err == nil {
 		t.Error("NewConcurrentFromSnapshot accepted a single-clusterer snapshot")
 	}
-	if _, err := NewShardedFromSnapshot(bytes.NewReader(buf.Bytes()), Config{}); err == nil {
-		t.Error("NewShardedFromSnapshot accepted a single-clusterer snapshot")
-	}
 
 	conc := MustNewConcurrent(AlgoCC, 2, Config{K: 2})
 	for _, p := range mixturePoints(100, 5) {
@@ -165,11 +145,6 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(cbuf.Bytes()), Config{}); err == nil {
 		t.Error("Load accepted a sharded snapshot")
-	}
-	// A Concurrent snapshot restores fine as a plain ShardedClusterer
-	// (the cache metadata is simply unused).
-	if _, err := NewShardedFromSnapshot(bytes.NewReader(cbuf.Bytes()), Config{}); err != nil {
-		t.Errorf("NewShardedFromSnapshot on a Concurrent snapshot: %v", err)
 	}
 }
 

@@ -250,7 +250,7 @@ func (s BackendSpec) StreamConfig() registry.StreamConfig {
 
 // Open creates a fresh serving backend from a spec. cfg supplies the
 // shared tuning (BucketSize, MergeDegree, Seed, Builder, query options,
-// Alpha for the concurrent cache); cfg.K is overridden by spec.K.
+// Alpha for the centers cache); cfg.K is overridden by spec.K.
 func Open(spec BackendSpec, cfg Config) (Backend, error) {
 	spec, err := spec.withDefaults()
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package server exposes streaming clusterers over HTTP — the
 // query-serving layer the paper's fast-query algorithms exist for: a
 // stream can be ingested continuously while clients query current
-// centers, because CC/RCC/OnlineCC (and the cached-centers fast path in
-// streamkm.Concurrent) make queries cheap enough to answer inline.
+// centers, because CC/RCC/OnlineCC (and the cached-centers fast path that
+// every streamkm.Open backend, concurrent, decayed or windowed, shares)
+// make queries cheap enough to answer inline.
 //
 // # Architecture
 //
@@ -27,11 +28,11 @@
 // every half_life arrivals or every half_life_seconds of wall time) or
 // "windowed" (hard sliding window over the last window_n arrivals). All
 // three ingest through "shards" parallel lanes with per-lane locks and
-// a read-mostly centers cache; the decayed and windowed pipelines
-// sequence batches with a lock-free global arrival clock and merge the
-// lanes' coresets at query time (the shard-merge trace stage), so their
-// recency semantics are computed over the global arrival order, not
-// per-lane ones. All three hibernate and restore through the same
+// share one read-mostly centers cache that merges the lanes' coresets
+// on recomputation (the shard-merge trace stage); the decayed and
+// windowed pipelines sequence batches with a lock-free global arrival
+// clock, so their recency semantics are computed over the global
+// arrival order, not per-lane ones. All three hibernate and restore through the same
 // snapshot envelope, which records the lane layout: a stream restores
 // with the shard count it was checkpointed with.
 //
@@ -243,8 +244,8 @@
 // Spans carry named stage timers attributing latency to the code path
 // that spent it: body-read, wire-decode, lock-wait (stream lock
 // acquisition inside the registry), quota (admission check),
-// cluster-apply, shard-merge (rescaling and unioning the decayed or
-// windowed lanes' coresets on a centers-cache miss),
+// cluster-apply, shard-merge (gathering the concurrent, decayed or
+// windowed lanes' coresets on a centers-cache miss or forced refresh),
 // coreset-recompute (query-time k-means++), restore
 // (rehydrating a hibernated stream — the stage that explains a
 // multi-second outlier on an otherwise sub-millisecond endpoint) and

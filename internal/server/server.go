@@ -28,8 +28,9 @@ type Refresher interface {
 }
 
 // ContextCenterer is optionally implemented by backends that stage their
-// query internals (e.g. the sharded pipelines' shard-merge) into the
-// request's trace span; handleCenters prefers it over Clusterer.Centers.
+// query internals into the request's trace span (every streamkm.Open
+// backend records its lane gather as shard-merge); handleCenters prefers
+// it over Clusterer.Centers.
 type ContextCenterer interface {
 	CentersContext(ctx context.Context) [][]float64
 }

@@ -146,23 +146,16 @@ func (b *laneBackend) refreshLocked(ctx context.Context) []Point {
 	done := trace.FromContext(ctx).StartStage("shard-merge")
 	union, count := b.lanes.Gather()
 	done()
-	entry := storeCenters(&b.cache, b.lanes.CoresetCenters(union), count)
+	cs := b.lanes.CoresetCenters(union)
+	entry := &centersSnapshot{centers: make([]Point, len(cs)), count: count}
+	for i, p := range cs {
+		entry.centers[i] = []float64(p)
+	}
+	b.cache.Store(entry)
 	if b.refreshed != nil {
 		b.refreshed(union, entry)
 	}
 	return entry.centers
-}
-
-// storeCenters installs centers computed from a union that covers count
-// points as cache's entry, and returns the entry.
-func storeCenters(cache *atomic.Pointer[centersSnapshot], cs []geom.Point, count int64) *centersSnapshot {
-	centers := make([]Point, len(cs))
-	for i, p := range cs {
-		centers[i] = []float64(p)
-	}
-	entry := &centersSnapshot{centers: centers, count: count}
-	cache.Store(entry)
-	return entry
 }
 
 // fresh reports whether a cache entry computed at count `cached` still

@@ -32,8 +32,8 @@
 //
 // Clusterers returned by New are single-goroutine objects. For concurrent
 // workloads — many producer goroutines ingesting while queries are served
-// — use Concurrent (sharded ingest plus a cached-centers query fast path)
-// or NewSharded for explicit per-shard routing.
+// — use Concurrent (sharded ingest, with AddTo for explicit per-shard
+// routing, plus a cached-centers query fast path).
 //
 // Serving layers create backends through the spec factory instead of a
 // concrete constructor: Open(BackendSpec{...}, cfg) builds a concurrent,
